@@ -18,7 +18,7 @@ What it understands:
 * RNG streams (``machine.rngs[pe]`` is the acting stream when ``pe``
   is; a ``self.rng.random()`` draw is a shared stream);
 * ``stats.<name>`` counter mutations;
-* engine scheduling (``engine.schedule/after/tick/process``): the
+* engine scheduling (``engine.schedule/after/tick``): the
   caller gets a ``schedule`` effect at the *site's* locality, and the
   callback becomes a :class:`~.model.SchedEdge` whose acting PE is the
   site PE — including ``lambda pe=pe: ...`` default-binding, local
@@ -79,8 +79,9 @@ MACHINE_PURE = {
     "channels_between",
 }
 
-#: engine methods that insert events; the value is the action-arg index
-SCHED_METHODS = {"schedule": 1, "after": 1, "tick": 1, "process": 0}
+#: engine methods that insert events; each takes its action as the
+#: second positional argument (after the delay or interval)
+SCHED_METHODS = frozenset({"schedule", "after", "tick"})
 
 #: container methods that mutate their receiver in place
 MUTATING_METHODS = {
@@ -587,7 +588,7 @@ class _Extractor:
             return
 
         if isinstance(func, ast.Attribute):
-            # engine.schedule / after / tick / process
+            # engine.schedule / after / tick
             if func.attr in SCHED_METHODS and self._is_engine(func.value):
                 self._schedule(node, func.attr)
                 return
@@ -783,10 +784,9 @@ class _Extractor:
             Effect("schedule", f"engine.{method}", site_loc),
             f"engine.{method}(..., site=...) inserts an event at that site",
         )
-        action_idx = SCHED_METHODS[method]
-        if action_idx >= len(node.args):
+        if len(node.args) < 2:
             return
-        action = node.args[action_idx]
+        action = node.args[1]
 
         payload: Optional[ast.expr] = None
         if method in ("schedule", "after"):
@@ -811,28 +811,6 @@ class _Extractor:
                     site_loc,
                     payload_args,
                     note=f"engine.{method} -> self.{self_attr}",
-                )
-            )
-            return
-        # generator / pre-bound call: engine.process(self._proc(pe), ...)
-        if (
-            isinstance(action, ast.Call)
-            and isinstance(action.func, ast.Attribute)
-            and self._self_attr(action.func) is not None
-        ):
-            meth = action.func.attr
-            self.scheds.append(
-                SchedEdge(
-                    ("self", meth),
-                    node.lineno,
-                    site_loc,
-                    tuple(self.binding_of(a, site_name) for a in action.args),
-                    tuple(
-                        (kw.arg, self.binding_of(kw.value, site_name))
-                        for kw in action.keywords
-                        if kw.arg
-                    ),
-                    note=f"engine.{method} -> self.{meth}(...)",
                 )
             )
             return

@@ -45,7 +45,7 @@ from ..topology.base import Topology
 from ..workload.base import Goal, Program
 from .channel import Channel
 from .config import CostModel, SimConfig
-from .engine import Engine, SimulationError, hold, process_kernel_active
+from .engine import Engine, SimulationError
 from .message import ControlWord, GoalMessage, LoadUpdate, Message, ResponseMessage
 from .pe import PE
 from .stats import SimResult, StatsCollector, UtilizationSample
@@ -117,11 +117,6 @@ class Machine:
         # Ordering-site layout (see Engine): site 0 is the machine, then
         # one site per PE (1 + pe), then one per channel (1 + N + cid).
         self.engine.ensure_sites(1 + topology.n + len(topology.channels))
-        #: kernel choice, captured once at construction: PEs, periodic
-        #: machinery, and strategy processes all key off this machine
-        #: attribute so a machine keeps one kernel for its whole life
-        #: even if the use_process_kernel() context has since exited.
-        self.process_kernel = process_kernel_active()
         self.rng = random.Random(self.config.seed)
         #: one independent stream per PE, seeded from (seed, index) — all
         #: randomized strategy decisions draw from the *acting* PE's
@@ -230,25 +225,18 @@ class Machine:
         if self._finished:
             raise SimulationError("a Machine instance runs exactly once")
         cfg = self.config
-        legacy = self.process_kernel
         if cfg.sample_interval > 0:
-            if legacy:
-                self.engine.process(self._sampler(), name="sampler")
-            else:
-                self._sample_prev = np.zeros(self.topology.n)
-                self.engine.tick(
-                    cfg.sample_interval, self._sample, name="sampler", skip_first=True
-                )
+            self._sample_prev = np.zeros(self.topology.n)
+            self.engine.tick(
+                cfg.sample_interval, self._sample, name="sampler", skip_first=True
+            )
         if cfg.load_info == "periodic":
-            if legacy:
-                self.engine.process(self._periodic_load_broadcaster(), name="loadcast")
-            else:
-                self.engine.tick(
-                    cfg.load_info_interval,
-                    self._broadcast_loads,
-                    name="loadcast",
-                    skip_first=True,
-                )
+            self.engine.tick(
+                cfg.load_info_interval,
+                self._broadcast_loads,
+                name="loadcast",
+                skip_first=True,
+            )
         self.strategy.start()
 
         # Telemetry (opt-in, see repro.obs.telemetry): one start/finish
@@ -525,13 +513,6 @@ class Machine:
                 self.stats.control_words_sent += 1
                 engine.after(delay, self._apply_load_word, (pe, value), site=1 + pe)
 
-    def _periodic_load_broadcaster(self):
-        """Generator twin of :meth:`_broadcast_loads` (process kernel)."""
-        interval = self.config.load_info_interval
-        while True:
-            yield hold(interval)
-            self._broadcast_loads()
-
     # ------------------------------------------------------------------
     # Word transport (strategy control data)
     # ------------------------------------------------------------------
@@ -620,7 +601,7 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _sample(self) -> None:
-        """One utilization sample (the tick body on the callback kernel)."""
+        """One utilization sample (the sampler tick's body)."""
         cfg = self.config
         interval = cfg.sample_interval
         n = self.topology.n
@@ -643,11 +624,3 @@ class Machine:
                 queue_depth=sum(len(pe.queue) for pe in self.pes),
                 calendar=self.engine.pending,
             )
-
-    def _sampler(self):
-        """Generator twin of :meth:`_sample` (process kernel)."""
-        interval = self.config.sample_interval
-        self._sample_prev = np.zeros(self.topology.n)
-        while True:
-            yield hold(interval)
-            self._sample()

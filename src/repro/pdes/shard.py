@@ -38,7 +38,7 @@ from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any
 
 from ..oracle.channel import Channel
-from ..oracle.engine import Process, SimulationError
+from ..oracle.engine import SimulationError
 from ..oracle.machine import Machine
 from ..oracle.pe import PE
 from ..oracle.stats import StatsCollector
@@ -519,12 +519,7 @@ class ShardWorker:
                             f"event limit exceeded ({m.config.max_events}); "
                             "likely a runaway model"
                         )
-                action = entry[4]
-                if type(action) is Process:  # pragma: no cover - kernel is rejected
-                    if action.alive:
-                        action._step(entry[5])
-                else:
-                    action(entry[5])
+                entry[4](entry[5])
         except Exception:
             # The wedge protocol: report the error with the key it hit;
             # the torn event's undo entries are already logged, so a
@@ -600,7 +595,7 @@ class ShardWorker:
 
 
 def worker_main(conn: Connection, scenario: Scenario, shards: int, shard: int) -> None:
-    """Process entry point: serve coordinator commands over ``conn``."""
+    """Worker-process entry point: serve coordinator commands over ``conn``."""
     try:
         worker = ShardWorker(scenario, shards, shard)
         conn.send(("ready", worker.prepare()))

@@ -1,8 +1,8 @@
 """Property-based tests of the discrete-event kernel.
 
 The engine's contract is small but everything rests on it: time never
-runs backwards, equal-time events fire in schedule order, processes
-interleave deterministically, and `until` semantics are exact.  These
+runs backwards, equal-time events fire in schedule order, callback
+chains interleave deterministically, and `until` semantics are exact.  These
 properties are checked over randomized event programs generated by
 hypothesis.
 """
@@ -13,13 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oracle.engine import Engine, Signal, SimulationError, hold, passivate, waitevent
+from repro.oracle.engine import Engine, SimulationError
 
 DELAYS = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False),
     min_size=1,
     max_size=40,
 )
+
+
+def chain(engine, delays, on_step):
+    """Self-rescheduling callback: wait each delay in turn, then ``on_step()``."""
+
+    def step(k):
+        if k:
+            on_step()
+        if k < len(delays):
+            engine.schedule(delays[k], step, k + 1)
+
+    engine.schedule(0.0, step, 0)
 
 
 @given(DELAYS)
@@ -51,16 +63,10 @@ def test_equal_time_events_fifo(n):
 @given(DELAYS)
 @settings(max_examples=40, deadline=None)
 def test_hold_sequence_advances_clock_exactly(delays):
-    """A process holding a sequence of delays ends at their sum."""
+    """A callback chain waiting a sequence of delays ends at their sum."""
     engine = Engine()
     observed: list[float] = []
-
-    def proc():
-        for d in delays:
-            yield hold(d)
-            observed.append(engine.now)
-
-    engine.process(proc())
+    chain(engine, delays, lambda: observed.append(engine.now))
     engine.run()
     expected = []
     acc = 0.0
@@ -81,14 +87,8 @@ def test_two_processes_interleave_deterministically(d1, d2):
     def trace_run():
         engine = Engine()
         log: list[tuple[str, float]] = []
-
-        def proc(name, delays):
-            for d in delays:
-                yield hold(d)
-                log.append((name, engine.now))
-
-        engine.process(proc("a", d1))
-        engine.process(proc("b", d2))
+        chain(engine, d1, lambda: log.append(("a", engine.now)))
+        chain(engine, d2, lambda: log.append(("b", engine.now)))
         engine.run()
         return log
 
@@ -132,36 +132,6 @@ def test_stop_is_sticky_against_self_rescheduling():
     engine.schedule(0.0, reschedule)
     engine.run()
     assert count[0] == 5
-
-
-def test_passivate_then_activate_roundtrip():
-    engine = Engine()
-    log = []
-
-    def sleeper():
-        log.append(("sleep", engine.now))
-        yield passivate()
-        log.append(("woke", engine.now))
-
-    proc = engine.process(sleeper())
-    engine.schedule(7.0, lambda _p: proc.activate())
-    engine.run()
-    assert log == [("sleep", 0.0), ("woke", 7.0)]
-
-
-def test_waitevent_signal_delivers_payload():
-    engine = Engine()
-    sig = Signal("data-ready")
-    got = []
-
-    def waiter():
-        payload = yield waitevent(sig)
-        got.append((payload, engine.now))
-
-    engine.process(waiter())
-    engine.schedule(3.0, lambda _p: sig.fire("hello"))
-    engine.run()
-    assert got == [("hello", 3.0)]
 
 
 def test_max_events_guard_trips():

@@ -1,26 +1,38 @@
-"""Golden equivalence: callback kernel vs the seed's generator kernel.
+"""Kernel goldens: every SimResult pinned as a literal result.
 
-The PR 3 hot-path overhaul replaced every generator process on the
-Table-2 path — PE executors, the utilization sampler, the periodic load
-broadcaster, GM/diffusion wakeups, the central dispatcher — with direct
-event callbacks and engine ticks.  The contract is **bit-for-bit
-identity**: same heap entries, same sequence numbers, same event count,
-same RNG consumption, hence a byte-identical :class:`SimResult`.
+The matrix below — all fifteen registered strategies on
+``grid:4x4``/``fib:9``, the paper's Table-2 slice (``paper_cwn``/
+``paper_gm`` × grid/dlm × fib/dc), the sampler with periodic load
+info, and a multi-query open-system stream — is pinned in
+``tests/golden/kernel_results.json``.  Each entry records the SHA-256
+of :func:`repro.parallel.cache.result_json` (which spells out *every*
+result field, floats exactly) plus the plain ``events_executed`` and
+``completion_time``, so a mismatch shows where the run diverged.
+``events_executed`` is the most fragile witness of event-sequence
+identity: any change to heap entries, sequence numbers or RNG
+consumption moves it.
 
-These tests prove it by running every strategy family on a reduced
-Table-2 slice under both kernels (the generator implementations survive
-behind :func:`~repro.oracle.engine.use_process_kernel`) and comparing
-*every* result field — including ``events_executed``, the most fragile
-witness of event-sequence identity.
+Regenerate after an *intentional* kernel or strategy change with::
+
+    PYTHONPATH=src python tests/regen_kernel_golden.py
+
+and review the diff — the golden file is the reference every kernel
+change is held to.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from collections.abc import Callable
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import (
     CWN,
+    STRATEGIES,
     AdaptiveCWN,
     BatchGradient,
     Bidding,
@@ -39,20 +51,14 @@ from repro.core import (
     paper_gm,
 )
 from repro.oracle.config import SimConfig
-from repro.oracle.engine import process_kernel_active, use_process_kernel
 from repro.oracle.machine import Machine
+from repro.oracle.stats import SimResult
+from repro.parallel.cache import result_json
 from repro.topology import DoubleLatticeMesh, Grid
 from repro.workload import DivideConquer, Fibonacci
 
-
-def run_both(make_strategy, topology_factory, program, config):
-    """One run per kernel; fresh machine + strategy + topology each."""
-    callback = Machine(topology_factory(), program, make_strategy(), config).run()
-    with use_process_kernel():
-        assert process_kernel_active()
-        legacy = Machine(topology_factory(), program, make_strategy(), config).run()
-    assert not process_kernel_active()
-    return callback, legacy
+GOLDEN = Path(__file__).parent / "golden" / "kernel_results.json"
+REGEN = "tests/regen_kernel_golden.py"
 
 
 def assert_bit_identical(a, b):
@@ -86,32 +92,109 @@ def assert_bit_identical(a, b):
     assert np.array_equal(a.first_goal_time, b.first_goal_time, equal_nan=True)
 
 
-#: every strategy family in the zoo, default-parameterized small
-ALL_STRATEGIES = [
-    ("cwn", lambda: CWN(radius=4, horizon=1)),
-    ("acwn", lambda: AdaptiveCWN(radius=4, horizon=1)),
-    ("gm", lambda: GradientModel()),
-    ("gm-event", lambda: EventGradient()),
-    ("gm-batch", lambda: BatchGradient()),
-    ("diffusion", lambda: Diffusion()),
-    ("central", lambda: CentralScheduler()),
-    ("stealing", lambda: WorkStealing()),
-    ("symmetric", lambda: Symmetric()),
-    ("bidding", lambda: Bidding()),
-    ("randomwalk", lambda: RandomWalk()),
-    ("threshold", lambda: ThresholdRandom()),
-    ("keep-local", lambda: KeepLocal()),
-    ("random", lambda: RandomPlacement()),
-    ("round-robin", lambda: RoundRobin()),
-]
+#: every registered strategy, keyed by its registry spec name and
+#: default-parameterized small
+ALL_STRATEGIES = {
+    "cwn": lambda: CWN(radius=4, horizon=1),
+    "acwn": lambda: AdaptiveCWN(radius=4, horizon=1),
+    "gm": lambda: GradientModel(),
+    "gm-event": lambda: EventGradient(),
+    "gm-batch": lambda: BatchGradient(),
+    "diffusion": lambda: Diffusion(),
+    "central": lambda: CentralScheduler(),
+    "stealing": lambda: WorkStealing(),
+    "symmetric": lambda: Symmetric(),
+    "bidding": lambda: Bidding(),
+    "randomwalk": lambda: RandomWalk(),
+    "threshold": lambda: ThresholdRandom(),
+    "local": lambda: KeepLocal(),
+    "random": lambda: RandomPlacement(),
+    "roundrobin": lambda: RoundRobin(),
+}
+
+_TOPOLOGIES = {"grid": lambda: Grid(4, 4), "dlm": lambda: DoubleLatticeMesh(4, 4, 4)}
+_PROGRAMS = {"fib": lambda: Fibonacci(9), "dc": lambda: DivideConquer(1, 21)}
+_PAPER = {"cwn": paper_cwn, "gm": paper_gm}
+
+
+def _strategy_case(make) -> Callable[[], SimResult]:
+    return lambda: Machine(Grid(4, 4), Fibonacci(9), make(), SimConfig(seed=3)).run()
+
+
+def _table2_case(family: str, kind: str, scheme: str) -> Callable[[], SimResult]:
+    return lambda: Machine(
+        _TOPOLOGIES[family](), _PROGRAMS[kind](), _PAPER[scheme](family),
+        SimConfig(seed=1),
+    ).run()
+
+
+def _sampler_periodic() -> SimResult:
+    cfg = SimConfig(seed=5, sample_interval=25.0, sample_per_pe=True,
+                    load_info="periodic")
+    return Machine(Grid(4, 4), Fibonacci(9), paper_cwn("grid"), cfg).run()
+
+
+def _open_system_case(make) -> Callable[[], SimResult]:
+    return lambda: Machine(
+        Grid(4, 4), Fibonacci(8), make(), SimConfig(seed=2),
+        queries=3, arrival_spacing=40.0,
+    ).run()
+
+
+#: the pinned matrix: golden key -> fresh machine + strategy + topology run
+CASES: dict[str, Callable[[], SimResult]] = {
+    **{f"strategy/{name}": _strategy_case(make) for name, make in ALL_STRATEGIES.items()},
+    **{
+        f"table2/{kind}-{family}/{scheme}": _table2_case(family, kind, scheme)
+        for kind in _PROGRAMS for family in _TOPOLOGIES for scheme in _PAPER
+    },
+    "sampler-periodic": _sampler_periodic,
+    "open-system/cwn": _open_system_case(lambda: paper_cwn("grid")),
+    "open-system/central": _open_system_case(CentralScheduler),
+}
+
+
+def result_entry(result: SimResult) -> dict:
+    """The pinned form of one result: a digest plus two readable fields."""
+    return {
+        "sha256": hashlib.sha256(result_json(result).encode()).hexdigest(),
+        "events_executed": result.events_executed,
+        "completion_time": result.completion_time,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def check_case(golden: dict, key: str) -> SimResult:
+    """Run ``CASES[key]`` and hold it to its pinned entry."""
+    result = CASES[key]()
+    entry = result_entry(result)
+    pinned = golden[key]
+    hint = f"{key}: if the change is intended, run `PYTHONPATH=src python {REGEN}`"
+    assert entry["events_executed"] == pinned["events_executed"], hint
+    assert entry["completion_time"] == pinned["completion_time"], hint
+    assert entry["sha256"] == pinned["sha256"], hint
+    return result
+
+
+def test_golden_covers_the_matrix(golden):
+    assert set(golden) == set(CASES)
+
+
+def test_pinned_strategies_follow_the_registry(golden):
+    """A newly registered strategy fails here until it is pinned."""
+    pinned = {key.split("/", 1)[1] for key in golden if key.startswith("strategy/")}
+    assert pinned == set(STRATEGIES.names())
 
 
 class TestAllStrategiesGolden:
-    @pytest.mark.parametrize("name,make", ALL_STRATEGIES, ids=[n for n, _ in ALL_STRATEGIES])
-    def test_grid_fib_slice(self, name, make):
-        a, b = run_both(make, lambda: Grid(4, 4), Fibonacci(9), SimConfig(seed=3))
-        assert_bit_identical(a, b)
-        assert a.result_value == Fibonacci(9).expected_result()
+    @pytest.mark.parametrize("name", list(ALL_STRATEGIES))
+    def test_grid_fib_slice(self, golden, name):
+        result = check_case(golden, f"strategy/{name}")
+        assert result.result_value == Fibonacci(9).expected_result()
 
 
 class TestTable2SliceGolden:
@@ -119,37 +202,19 @@ class TestTable2SliceGolden:
 
     @pytest.mark.parametrize("family", ["grid", "dlm"])
     @pytest.mark.parametrize("kind", ["fib", "dc"])
-    def test_paper_pair(self, family, kind):
-        topo = (lambda: Grid(4, 4)) if family == "grid" else (
-            lambda: DoubleLatticeMesh(4, 4, 4)
-        )
-        program = Fibonacci(9) if kind == "fib" else DivideConquer(1, 21)
-        for build in (paper_cwn, paper_gm):
-            a, b = run_both(lambda: build(family), topo, program, SimConfig(seed=1))
-            assert_bit_identical(a, b)
+    def test_paper_pair(self, golden, family, kind):
+        for scheme in _PAPER:
+            check_case(golden, f"table2/{kind}-{family}/{scheme}")
 
-    def test_sampler_and_periodic_load_info(self):
-        """Engine ticks (sampler, loadcast) vs the seed's processes."""
-        cfg = SimConfig(seed=5, sample_interval=25.0, sample_per_pe=True,
-                        load_info="periodic")
-        a, b = run_both(lambda: paper_cwn("grid"), lambda: Grid(4, 4),
-                        Fibonacci(9), cfg)
-        assert_bit_identical(a, b)
-        assert len(a.samples) >= 2
+    def test_sampler_and_periodic_load_info(self, golden):
+        """Engine ticks: the utilization sampler and the load broadcaster."""
+        result = check_case(golden, "sampler-periodic")
+        assert len(result.samples) >= 2
 
-    def test_open_system_stream(self):
+    def test_open_system_stream(self, golden):
         """Multi-query arrivals exercise injection + per-query completion."""
-        for make in (lambda: paper_cwn("grid"), lambda: CentralScheduler()):
-            callback = Machine(
-                Grid(4, 4), Fibonacci(8), make(), SimConfig(seed=2),
-                queries=3, arrival_spacing=40.0,
-            ).run()
-            with use_process_kernel():
-                legacy = Machine(
-                    Grid(4, 4), Fibonacci(8), make(), SimConfig(seed=2),
-                    queries=3, arrival_spacing=40.0,
-                ).run()
-            assert_bit_identical(callback, legacy)
+        for scheme in ("cwn", "central"):
+            check_case(golden, f"open-system/{scheme}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +238,6 @@ def assert_sharded_identical(scenario, shards):
     serial = scenario.run()
     sharded = run_sharded(scenario, shards)
     assert_bit_identical(serial, sharded)
-    # The two fields run_both's helper skips are part of this contract:
-    assert serial.samples == sharded.samples
-    assert np.array_equal(serial.first_goal_time, sharded.first_goal_time,
-                          equal_nan=True)
     return serial
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core import CWN, GradientModel
 from repro.core.base import argmin_load
 from repro.oracle.config import SimConfig
-from repro.oracle.engine import Engine, hold
+from repro.oracle.engine import Engine
 from repro.oracle.machine import Machine
 from repro.topology import DoubleLatticeMesh, Grid, Hypercube, Ring
 from repro.workload import DivideConquer, Fibonacci, RandomTree, SkewedTree
@@ -45,12 +45,13 @@ def test_process_holds_accumulate_exactly(durations):
     engine = Engine()
     seen = []
 
-    def proc():
-        for d in durations:
-            yield hold(d)
-        seen.append(engine.now)
+    def step(k):
+        if k == len(durations):
+            seen.append(engine.now)
+        else:
+            engine.schedule(durations[k], step, k + 1)
 
-    engine.process(proc())
+    engine.schedule(0.0, step, 0)
     engine.run()
     assert seen[0] == pytest.approx(sum(durations))
 
