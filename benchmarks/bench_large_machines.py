@@ -34,7 +34,7 @@ from repro.workload import Fibonacci
 CONSTRUCTION_BUDGET_S = 1.0
 
 
-def _build_machine(topology) -> float:
+def _wire_machine(topology) -> float:
     from repro.core import paper_cwn
 
     start = time.perf_counter()
@@ -45,9 +45,9 @@ def _build_machine(topology) -> float:
 def test_large_machine_construction_budget(benchmark, save_artifact):
     def build_all():
         return {
-            "grid 64x64": _build_machine(Grid(64, 64)),
-            "hypercube 12": _build_machine(Hypercube(12)),
-            "torus3d 16x16x16": _build_machine(make("torus3d:16x16x16")),
+            "grid 64x64": _wire_machine(Grid(64, 64)),
+            "hypercube 12": _wire_machine(Hypercube(12)),
+            "torus3d 16x16x16": _wire_machine(make("torus3d:16x16x16")),
         }
 
     timings = benchmark.pedantic(build_all, rounds=1, iterations=1)

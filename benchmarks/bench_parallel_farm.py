@@ -18,14 +18,15 @@ import numpy as np
 
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
-from repro.parallel import ResultCache, RunSpec, run_batch, run_many
+from repro.parallel import ResultCache, run_batch, run_many
+from repro.scenario import Scenario
 
 
-def _batch(full: bool) -> list[RunSpec]:
+def _batch(full: bool) -> list[Scenario]:
     fib_sizes = (11, 12, 13, 14) if full else (10, 11, 12)
     seeds = range(1, 5) if full else range(1, 4)
     return [
-        RunSpec(f"fib:{n}", topo, strategy, seed=seed)
+        Scenario.of(f"fib:{n}", topo, strategy, seed=seed)
         for n in fib_sizes
         for topo in ("grid:8x8", "dlm:4x8x8")
         for strategy in ("cwn", "gm")

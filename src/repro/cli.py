@@ -496,26 +496,6 @@ def _farmed(args: argparse.Namespace):
         print(f"[farm] {hits} cache hits, {simulated} simulated", file=sys.stderr)
 
 
-def _plan_one(
-    workload: str,
-    topology: str,
-    strategy: str,
-    jobs: "int | None",
-    cache: object,
-    config: object = None,
-    seed: "int | None" = None,
-):
-    """Run one CLI-described simulation through the plan engine."""
-    from .experiments.plan import ExperimentPlan, execute, planned_run
-
-    plan = ExperimentPlan(
-        "run",
-        (planned_run(workload, topology, strategy, config=config, seed=seed),),
-        lambda results, _meta: results[0],
-    )
-    return execute(plan, jobs=jobs, cache=cache)
-
-
 def _scenario_from_args(args: argparse.Namespace):
     """The ``run`` command's positionals as one Scenario.
 
@@ -548,11 +528,9 @@ def _scenario_from_args(args: argparse.Namespace):
 
 def _plan_scenario(scenario, jobs: "int | None", cache: object):
     """Run one Scenario through the plan engine."""
-    from .experiments.plan import ExperimentPlan, execute, planned_scenario
+    from .experiments.plan import ExperimentPlan, execute
 
-    plan = ExperimentPlan(
-        "run", (planned_scenario(scenario),), lambda results, _meta: results[0]
-    )
+    plan = ExperimentPlan("run", (scenario,), lambda results, _meta: results[0])
     return execute(plan, jobs=jobs, cache=cache)
 
 
@@ -758,7 +736,7 @@ def _cmd_zoo(args: argparse.Namespace) -> None:
         "symmetric", "bidding", "diffusion", "randomwalk", "central",
         "random", "roundrobin", "local",
     )
-    plan = ExperimentPlan.from_scenarios(
+    plan = ExperimentPlan(
         "zoo",
         tuple(
             Scenario.of(f"fib:{fib_n}", "grid:8x8", spec, seed=args.seed)
@@ -773,10 +751,10 @@ def _cmd_zoo(args: argparse.Namespace) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:
-    from .experiments.runner import build_machine
+    from .scenario import Scenario
     from .validation import completion_bounds
 
-    machine = build_machine(args.workload, args.topology, args.strategy or "local")
+    machine = Scenario.of(args.workload, args.topology, args.strategy or "local").build()
     bounds = completion_bounds(machine.program, machine.config.costs, machine.topology.n)
     print(f"{args.workload} on {machine.topology.name}:")
     print(f"  total work T1                : {bounds.work:,.0f}")
@@ -786,8 +764,10 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
     print(f"  best possible speedup        : {bounds.max_speedup:.1f}")
     if args.strategy:
         with _farmed(args) as (jobs, cache):
-            res = _plan_one(
-                args.workload, args.topology, args.strategy, jobs, cache, seed=args.seed
+            res = _plan_scenario(
+                Scenario.of(args.workload, args.topology, args.strategy, seed=args.seed),
+                jobs,
+                cache,
             )
         print(f"\n{res.summary()}")
         print(f"  x lower bound  : {res.completion_time / bounds.lower:.2f}")
@@ -795,18 +775,23 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> None:
-    from .experiments.runner import build_machine
     from .oracle.config import SimConfig
     from .oracle.monitor import render_film
+    from .scenario import Scenario
 
     with _farmed(args) as (jobs, cache):
-        pilot = _plan_one(
-            args.workload, args.topology, args.strategy, jobs, cache, seed=args.seed
+        pilot = _plan_scenario(
+            Scenario.of(args.workload, args.topology, args.strategy, seed=args.seed),
+            jobs,
+            cache,
         )
         interval = max(pilot.completion_time / args.frames, 1.0)
         cfg = SimConfig(sample_interval=interval, sample_per_pe=True, seed=args.seed)
-        res = _plan_one(args.workload, args.topology, args.strategy, jobs, cache, config=cfg)
-    cols = getattr(build_machine(args.workload, args.topology, "local").topology, "cols", None)
+        res = _plan_scenario(
+            Scenario.of(args.workload, args.topology, args.strategy, config=cfg), jobs, cache
+        )
+    topology = Scenario.of(args.workload, args.topology, "local").resolve_topology()
+    cols = getattr(topology, "cols", None)
     print(res.summary())
     print(render_film(res, cols=cols, color=args.color))
 

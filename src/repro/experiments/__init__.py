@@ -24,16 +24,14 @@ from .optimization import render_table1, run_optimization
 from .plan import (
     ExecutionReport,
     ExperimentPlan,
-    LocalRun,
     collect_reports,
     execute,
     merge_plans,
-    planned_run,
 )
 from .plots import ascii_plot
 from .query_stream import render_stream, run_stream
 from .replication import Replication, replicate_metric, replicate_pair
-from .runner import build_machine, simulate
+from .runner import simulate
 from .scaling import render_scaling, run_scaling
 from .sweep import PairedSweep, SweepPoint, SweepResult
 from .tables import format_kv, format_table
@@ -43,13 +41,11 @@ from .utilization_curves import render_curve, run_all_curves, run_curve
 __all__ = [
     "ExecutionReport",
     "ExperimentPlan",
-    "LocalRun",
     "PairedSweep",
     "SweepPoint",
     "SweepResult",
     "Replication",
     "ascii_plot",
-    "build_machine",
     "collect_reports",
     "comparison_plan",
     "execute",
@@ -57,7 +53,6 @@ __all__ = [
     "format_table",
     "large_machine_plan",
     "merge_plans",
-    "planned_run",
     "render_curve",
     "render_grainsize",
     "render_large_machines",

@@ -25,10 +25,11 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import paper_dlm, paper_grid
 from ..workload import DivideConquer, Fibonacci, Program
 from . import scale
-from .plan import ExperimentPlan, execute, paired, planned_run
+from .plan import ExperimentPlan, execute, paired
 from .tables import format_table
 
 __all__ = [
@@ -112,7 +113,7 @@ def comparison_plan(
     for family, n_pes, program in grid:
         topo = _topology(family, n_pes)
         for strategy in (paper_cwn(family), paper_gm(family)):
-            runs.append(planned_run(program, topo, strategy, config=config, seed=seed))
+            runs.append(Scenario.of(program, topo, strategy, config=config, seed=seed))
             meta.append((family, n_pes))
 
     def _reduce(

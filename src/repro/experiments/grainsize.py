@@ -23,9 +23,10 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import CostModel, SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_grid
 from ..workload import Fibonacci, Program
-from .plan import ExperimentPlan, execute, paired, planned_run
+from .plan import ExperimentPlan, execute, paired
 from .tables import format_table
 
 __all__ = ["GrainPoint", "grainsize_plan", "render_grainsize", "run_grainsize"]
@@ -78,7 +79,7 @@ def grainsize_plan(
         cfg = SimConfig(costs=costs, seed=seed)
         comm_per_goal = costs.transfer_time(4) / (costs.leaf_work or 1.0)
         for strategy in (paper_cwn(family), paper_gm(family)):
-            runs.append(planned_run(program, topology, strategy, config=cfg))
+            runs.append(Scenario.of(program, topology, strategy, config=cfg))
             meta.append((grain, comm_per_goal))
 
     def _reduce(

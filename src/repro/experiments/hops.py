@@ -17,9 +17,10 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_grid
 from ..workload import Fibonacci, Program
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = ["HopStudy", "hop_plan", "render_table3", "run_hop_study"]
@@ -54,7 +55,7 @@ def hop_plan(
     program: Program = Fibonacci(fib_n)
     family = topology.family
     runs = tuple(
-        planned_run(program, topology, strategy, config=config, seed=seed)
+        Scenario.of(program, topology, strategy, config=config, seed=seed)
         for strategy in (paper_cwn(family), paper_gm(family))
     )
 

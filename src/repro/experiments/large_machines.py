@@ -24,10 +24,11 @@ from typing import Any, Sequence
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import make as make_topology
 from ..workload import Fibonacci, Program
 from . import scale
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = [
@@ -111,7 +112,7 @@ def large_machine_plan(
             spec = large_topology_spec(family, n_pes)
             diameter = make_topology(spec).diameter
             for strategy in strategies:
-                runs.append(planned_run(program, spec, strategy, config=config, seed=seed))
+                runs.append(Scenario.of(program, spec, strategy, config=config, seed=seed))
                 meta.append((family, n_pes, diameter, strategy))
 
     def _reduce(

@@ -23,9 +23,10 @@ from ..core import CWN, GradientModel
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_dlm, paper_grid
 from ..workload import DivideConquer, Fibonacci, Program
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = [
@@ -77,7 +78,7 @@ def parameter_plan(
     points and returns the grid best-first.
     """
     runs = tuple(
-        planned_run(program, topo, build(**params), config=config, seed=seed)
+        Scenario.of(program, topo, build(**params), config=config, seed=seed)
         for params in grid
         for program, topo in points
     )

@@ -6,18 +6,17 @@ the scaling and grain-size studies — is a *grid of independent runs*
 followed by a fold.  This module makes that shape explicit:
 
 * a **plan builder** is a pure function that emits an
-  :class:`ExperimentPlan`: an ordered list of runs (canonical
-  :class:`~repro.parallel.spec.RunSpec` where the spec grammar can
-  express the run, :class:`LocalRun` thunks where it cannot) plus
-  per-run metadata (cell labels, axis values);
+  :class:`ExperimentPlan`: an ordered tuple of
+  :class:`~repro.scenario.Scenario` runs plus per-run metadata (cell
+  labels, axis values);
 * a **reducer** is a pure function folding the returned
   :class:`~repro.oracle.stats.SimResult` list (plus the metadata) into
   the experiment's existing result type;
 * :func:`execute` is the single engine between them: it routes every
-  spec-expressible run through :func:`repro.parallel.run_batch` — which
-  does all fan-out (``jobs=``), content-addressed caching (``cache=``),
-  retry and resumability — and runs the rare unspellable leftovers
-  in-process.
+  run the spec grammar can spell through :func:`repro.parallel.run_batch`
+  — which does all fan-out (``jobs=``), content-addressed caching
+  (``cache=``), retry and resumability — and runs the rare unspellable
+  leftovers (custom strategy objects, recorded workloads) in-process.
 
 Because the engine is shared, *every* experiment is parallel, cached
 and resumable by construction: a new experiment only writes a builder
@@ -37,22 +36,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from ..obs import telemetry as _telemetry
-from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
-from ..parallel import ResultCache, RunSpec, run_batch
+from ..parallel import ResultCache, run_batch
 from ..parallel.pool import RunFailure
 from ..scenario import Scenario
 
 __all__ = [
     "ExecutionReport",
     "ExperimentPlan",
-    "LocalRun",
     "collect_reports",
     "execute",
     "merge_plans",
     "paired",
-    "planned_run",
-    "planned_scenario",
 ]
 
 #: progress callback: (completed, total, source) with source
@@ -65,25 +60,6 @@ Reducer = Callable[[Sequence[SimResult], Sequence[Any]], Any]
 
 
 @dataclass(frozen=True)
-class LocalRun:
-    """A run the spec grammar cannot express, as an in-process thunk.
-
-    Custom strategy objects, recorded workloads and other constructs
-    without a factory spelling cannot ship to worker processes or be
-    content-addressed; they still belong in a plan.  ``thunk`` runs the
-    simulation in the calling process; ``label`` names the run for
-    progress and error messages.
-    """
-
-    thunk: Callable[[], SimResult]
-    label: str = ""
-
-
-#: one plan entry: farmable spec, or in-process fallback
-PlanRun = RunSpec | LocalRun
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
     """One experiment as data: ordered runs, metadata, and a reducer.
 
@@ -93,7 +69,7 @@ class ExperimentPlan:
     """
 
     name: str
-    runs: tuple[PlanRun, ...]
+    runs: tuple[Scenario, ...]
     reduce: Reducer
     meta: tuple[Any, ...] = ()
 
@@ -108,75 +84,6 @@ class ExperimentPlan:
     def labels(self) -> tuple[Any, ...]:
         """``meta`` padded to one entry per run (``None`` when absent)."""
         return self.meta if self.meta else (None,) * len(self.runs)
-
-    @classmethod
-    def from_scenarios(
-        cls,
-        name: str,
-        scenarios: "Sequence[Scenario]",
-        reduce: Reducer,
-        meta: Sequence[Any] = (),
-    ) -> "ExperimentPlan":
-        """Build a plan straight from :class:`~repro.scenario.Scenario` values.
-
-        Each scenario becomes a farmable :class:`~repro.parallel.spec.RunSpec`
-        where the spec grammar can express it, and a :class:`LocalRun`
-        otherwise (see :func:`planned_scenario`).
-        """
-        return cls(name, tuple(planned_scenario(sc) for sc in scenarios), reduce, tuple(meta))
-
-    def scenarios(self) -> tuple["Scenario | None", ...]:
-        """The plan's runs as scenarios (``None`` for opaque local thunks)."""
-        return tuple(
-            run.scenario() if isinstance(run, RunSpec) else None for run in self.runs
-        )
-
-
-def planned_scenario(scenario: "Scenario") -> PlanRun:
-    """One plan entry for ``scenario``: a canonical spec, or a fallback.
-
-    Scenarios the spec grammar can express become
-    :class:`~repro.parallel.spec.RunSpec` (farmable, cacheable); the
-    rest degrade to a :class:`LocalRun` closing over the live objects —
-    the plan still executes, serially and uncached, exactly as the old
-    hand-rolled loops did.
-    """
-    try:
-        return RunSpec.from_scenario(scenario)
-    except ValueError:
-        return LocalRun(thunk=scenario.run, label=scenario.label())
-
-
-def planned_run(
-    workload: Any,
-    topology: Any,
-    strategy: Any,
-    config: SimConfig | None = None,
-    seed: int | None = None,
-    start_pe: int = 0,
-    queries: int = 1,
-    arrival_spacing: float = 0.0,
-    arrival_pes: Sequence[int] | None = None,
-    arrival_times: Sequence[float] | None = None,
-) -> PlanRun:
-    """One run for a plan, from loose arguments (mirrors ``simulate``).
-
-    Kwargs-style sugar over :func:`planned_scenario`.
-    """
-    return planned_scenario(
-        Scenario.of(
-            workload,
-            topology,
-            strategy,
-            config=config,
-            seed=seed,
-            start_pe=start_pe,
-            queries=queries,
-            arrival_spacing=arrival_spacing,
-            arrival_pes=arrival_pes,
-            arrival_times=arrival_times,
-        )
-    )
 
 
 def paired(
@@ -202,7 +109,7 @@ def merge_plans(name: str, plans: Sequence[ExperimentPlan]) -> ExperimentPlan:
     of farming each member separately.
     """
     plans = list(plans)
-    runs: list[PlanRun] = []
+    runs: list[Scenario] = []
     meta: list[Any] = []
     for plan in plans:
         runs.extend(plan.runs)
@@ -239,7 +146,7 @@ class ExecutionReport:
 
     @property
     def executed(self) -> int:
-        """Runs that actually simulated (farm misses + local thunks)."""
+        """Runs that actually simulated (farm misses + local runs)."""
         return self.simulated + self.local
 
     def __str__(self) -> str:
@@ -279,15 +186,16 @@ def execute(
 ) -> Any:
     """Run a plan and return its reduced result.
 
-    The spec-expressible runs go through :func:`repro.parallel.run_batch`
-    — ``jobs`` worker processes for the cache misses (``None``/1 =
-    serial in-process, 0 = all cores), every fresh result persisted to
-    ``cache`` before the batch returns, transient failures retried —
-    and the :class:`LocalRun` leftovers execute in this process.
-    Results reach the reducer in plan order regardless of completion
-    order, so ``execute(plan)`` with no farm arguments is the old serial
-    loop, bit for bit, and ``execute(plan, jobs=N, cache=...)`` is the
-    same result computed as fast as the hardware allows.
+    The runs :meth:`~repro.scenario.Scenario.spelled` accepts go through
+    :func:`repro.parallel.run_batch` — ``jobs`` worker processes for the
+    cache misses (``None``/1 = serial in-process, 0 = all cores), every
+    fresh result persisted to ``cache`` before the batch returns,
+    transient failures retried — and the rest run in this process,
+    uncached, under progress source ``"local"``.  Results reach the
+    reducer in plan order regardless of completion order, so
+    ``execute(plan)`` with no farm arguments is the serial loop, bit for
+    bit, and ``execute(plan, jobs=N, cache=...)`` is the same result
+    computed as fast as the hardware allows.
     """
     runs = plan.runs
     total = len(runs)
@@ -300,32 +208,35 @@ def execute(
         if progress is not None:
             progress(done, total, source)
 
-    spec_indices = [i for i, run in enumerate(runs) if isinstance(run, RunSpec)]
+    farmed: list[tuple[int, Scenario]] = []
+    local: list[int] = []
+    for i, run in enumerate(runs):
+        try:
+            farmed.append((i, run.spelled()))
+        except ValueError:
+            local.append(i)
     report = None
-    if spec_indices:
+    if farmed:
         report = run_batch(
-            [runs[i] for i in spec_indices],
+            [scenario for _i, scenario in farmed],
             jobs=jobs,
             cache=cache,
             use_cache=use_cache,
             retries=retries,
             progress=(lambda _d, _t, source: advance(source)) if progress else None,
         )
-        for i, result in zip(spec_indices, report.results):
+        for (i, _scenario), result in zip(farmed, report.results):
             results[i] = result
-    local = 0
-    for i, run in enumerate(runs):
-        if isinstance(run, LocalRun):
-            results[i] = run.thunk()
-            local += 1
-            advance("local")
+    for i in local:
+        results[i] = runs[i].run()
+        advance("local")
 
     outcome = ExecutionReport(
         plan=plan.name,
         runs=total,
         hits=report.hits if report else 0,
         simulated=report.simulated if report else 0,
-        local=local,
+        local=len(local),
         retried=report.retried if report else 0,
         failures=list(report.failures) if report else [],
     )

@@ -9,9 +9,9 @@ difference should matter most — work keeps arriving at arbitrary points
 and the machine is (nearly) never empty.
 
 :func:`stream_plan` builds the study as a declarative
-:class:`~repro.experiments.plan.ExperimentPlan` (open-system runs are
-ordinary specs now that :class:`~repro.parallel.spec.RunSpec` carries
-arrival parameters); :func:`run_stream` injects ``queries`` instances
+:class:`~repro.experiments.plan.ExperimentPlan` (an open-system run is
+an ordinary :class:`~repro.scenario.Scenario` with an arrival block);
+:func:`run_stream` injects ``queries`` instances
 of a program, ``spacing`` apart, round-robin over injection PEs spread
 across the machine, and reports makespan, mean/max response time and
 utilization for each strategy.
@@ -26,9 +26,10 @@ from ..core import Strategy, paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_grid
 from ..workload import Fibonacci, Program
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = ["StreamResult", "render_stream", "run_stream", "stream_plan"]
@@ -74,7 +75,7 @@ def stream_plan(
     arrival_pes = spread_pes(topology, queries)
     expected = program.expected_result()
     runs = tuple(
-        planned_run(
+        Scenario.of(
             program,
             topology,
             strategy,

@@ -17,9 +17,10 @@ from ..core import Strategy, paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology
 from ..workload import Program
-from .plan import ExperimentPlan, execute, paired, planned_run
+from .plan import ExperimentPlan, execute, paired
 
 __all__ = [
     "Replication",
@@ -94,7 +95,7 @@ def pair_plan(
     """CWN/GM pairs across seeds as a plan; reduces to ratio statistics."""
     family = topology.family
     runs = tuple(
-        planned_run(program, topology, strategy, config=config, seed=seed)
+        Scenario.of(program, topology, strategy, config=config, seed=seed)
         for seed in seeds
         for strategy in (paper_cwn(family), paper_gm(family))
     )
@@ -141,7 +142,7 @@ def metric_plan(
     per-run state); ``metric`` names a SimResult attribute or property.
     """
     runs = tuple(
-        planned_run(program, topology, strategy_factory(), config=config, seed=seed)
+        Scenario.of(program, topology, strategy_factory(), config=config, seed=seed)
         for seed in seeds
     )
     meta = tuple(seeds)

@@ -1,11 +1,9 @@
 """Single-run driver: one (workload, topology, strategy) simulation.
 
-This is the historical convenience entry point; since the
-:class:`~repro.scenario.Scenario` redesign both helpers are thin shims
-that bundle their arguments into a scenario and call
-:meth:`~repro.scenario.Scenario.build` / :meth:`~repro.scenario.Scenario.run`
-— one construction path for the whole library.  Everything accepts
-either constructed objects or the registries' compact spec strings::
+:func:`simulate` is the one-line entry point: it bundles its arguments
+into a :class:`~repro.scenario.Scenario` and calls
+:meth:`~repro.scenario.Scenario.run`.  It accepts either constructed
+objects or the registries' compact spec strings::
 
     simulate("fib:15", "grid:10x10", "cwn")
     simulate(Fibonacci(15), Grid(10, 10), CWN(radius=9, horizon=2))
@@ -18,45 +16,12 @@ from typing import Sequence
 
 from ..core import Strategy
 from ..oracle.config import SimConfig
-from ..oracle.machine import Machine
 from ..oracle.stats import SimResult
 from ..scenario import Scenario
 from ..topology import Topology
 from ..workload import Program
 
-__all__ = ["build_machine", "simulate"]
-
-
-def build_machine(
-    workload: Program | str,
-    topology: Topology | str,
-    strategy: Strategy | str,
-    config: SimConfig | None = None,
-    start_pe: int = 0,
-    queries: int = 1,
-    arrival_spacing: float = 0.0,
-    arrival_pes: "Sequence[int] | None" = None,
-    arrival_times: "Sequence[float] | None" = None,
-) -> Machine:
-    """Construct (but do not run) a fully wired machine.
-
-    Spec strings are resolved through the registries; a strategy given
-    as a bare name (``"cwn"``, ``"gm"``) picks up the paper's Table 1
-    parameters for the topology's family.  ``queries`` > 1 (with the
-    arrival knobs) builds an open-system machine — see
-    :class:`~repro.oracle.machine.Machine`.
-    """
-    return Scenario.of(
-        workload,
-        topology,
-        strategy,
-        config=config,
-        start_pe=start_pe,
-        queries=queries,
-        arrival_spacing=arrival_spacing,
-        arrival_pes=arrival_pes,
-        arrival_times=arrival_times,
-    ).build()
+__all__ = ["simulate"]
 
 
 def simulate(
@@ -76,7 +41,7 @@ def simulate(
     ``seed`` overrides ``config.seed`` as a convenience for replication
     sweeps.  The ``queries`` / ``arrival_*`` knobs expose the machine's
     open-system mode through the same narrow waist, so query-stream runs
-    are ordinary specs to the plan/farm pipeline.
+    are ordinary scenarios to the plan/farm pipeline.
     """
     return Scenario.of(
         workload,

@@ -21,10 +21,11 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import paper_dlm, paper_grid
 from ..workload import Fibonacci, Program
 from . import scale
-from .plan import ExperimentPlan, execute, paired, planned_run
+from .plan import ExperimentPlan, execute, paired
 from .tables import format_table
 
 __all__ = ["ScalingPoint", "render_scaling", "run_scaling", "scaling_plan"]
@@ -63,7 +64,7 @@ def scaling_plan(
             topo = make(n_pes)
             for strategy in (paper_cwn(family), paper_gm(family)):
                 runs.append(
-                    planned_run(program, topo, strategy, config=config, seed=seed)
+                    Scenario.of(program, topo, strategy, config=config, seed=seed)
                 )
                 meta.append((family, n_pes, topo.diameter))
 

@@ -29,9 +29,10 @@ from ..core.base import Strategy
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology.base import Topology
 from ..workload.base import Program
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = ["PairedSweep", "SweepPoint", "SweepResult"]
@@ -150,7 +151,7 @@ class PairedSweep:
                 strat_a, strat_b, config = self.factory(x)
                 for strat in (strat_a, strat_b):
                     runs.append(
-                        planned_run(
+                        Scenario.of(
                             self.program, self.topology, strat, config=config, seed=seed
                         )
                     )

@@ -36,9 +36,10 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_dlm, paper_grid
 from ..workload import Fibonacci
-from .plan import ExperimentPlan, execute, merge_plans, planned_run
+from .plan import ExperimentPlan, execute, merge_plans
 from .plots import ascii_plot
 
 __all__ = [
@@ -80,7 +81,7 @@ def pilot_plan(
     base = config or SimConfig()
     family = topology.family
     runs = tuple(
-        planned_run(Fibonacci(fib_n), topology, build(family), config=base, seed=seed)
+        Scenario.of(Fibonacci(fib_n), topology, build(family), config=base, seed=seed)
         for _name, build in _STRATEGIES
     )
     meta = tuple(name for name, _build in _STRATEGIES)
@@ -102,7 +103,7 @@ def sampled_plan(
     base = config or SimConfig()
     family = topology.family
     runs = tuple(
-        planned_run(
+        Scenario.of(
             Fibonacci(fib_n),
             topology,
             build(family),

@@ -22,10 +22,11 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_dlm, paper_grid
 from ..workload import DivideConquer, Fibonacci, Program
 from . import scale
-from .plan import ExperimentPlan, execute, merge_plans, planned_run
+from .plan import ExperimentPlan, execute, merge_plans
 from .plots import ascii_plot
 from .tables import format_table
 
@@ -72,7 +73,7 @@ def curve_plan(
     for program in _programs(kind, full):
         for strat in strategies:
             runs.append(
-                planned_run(
+                Scenario.of(
                     program, topology, builders[strat](family), config=config, seed=seed
                 )
             )

@@ -172,11 +172,12 @@ def bench_construction(quick: bool = False) -> dict[str, Metric]:
 
 def bench_farm(quick: bool = False) -> dict[str, Metric]:
     """Batch throughput cold, and the warm-rerun hit rate (must be 1.0)."""
-    from repro.parallel import ResultCache, RunSpec, run_batch
+    from repro.parallel import ResultCache, run_batch
+    from repro.scenario import Scenario
 
     n_specs = 4 if quick else 8
     specs = [
-        RunSpec.build("fib:11", "grid:4x4", "cwn", seed=seed)
+        Scenario.of("fib:11", "grid:4x4", "cwn", seed=seed)
         for seed in range(1, n_specs + 1)
     ]
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root:

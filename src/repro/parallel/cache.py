@@ -1,11 +1,12 @@
 """On-disk content-addressed result store.
 
 A repeated configuration is never worth resimulating: the engine is
-deterministic, so a :class:`~repro.parallel.spec.RunSpec`'s result is a
+deterministic, so a :class:`~repro.scenario.Scenario`'s result is a
 pure function of its canonical form.  :class:`ResultCache` exploits that
 — results live under ``<root>/v<schema>/<kk>/<key>.json`` where ``key``
-is :meth:`RunSpec.key` (a SHA-256 over the canonical spec) and ``kk``
-its first two hex digits (a fan-out shard so directories stay small).
+is :meth:`Scenario.content_hash` (a SHA-256 over the canonical form)
+and ``kk`` its first two hex digits (a fan-out shard so directories
+stay small).
 
 Design points:
 
@@ -15,7 +16,7 @@ Design points:
 * **corruption recovery** — an unreadable, truncated, or mismatching
   entry is treated as a miss and deleted, never propagated;
 * **schema versioning** — both the directory layout and each payload
-  carry a schema tag; bumping :data:`CACHE_SCHEMA` (or the spec's
+  carry a schema tag; bumping :data:`CACHE_SCHEMA` (or the scenario's
   ``SPEC_SCHEMA``, which feeds the hash) orphans stale results instead
   of serving them;
 * **relocatable** — the root defaults to ``~/.cache/repro-kale88`` and
@@ -27,16 +28,15 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from ..obs import telemetry as _telemetry
 from ..oracle.stats import SimResult, UtilizationSample
-from .spec import RunSpec
+from ..scenario.scenario import Scenario
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -193,7 +193,11 @@ class CacheStats:
 
 
 class ResultCache:
-    """Content-addressed ``RunSpec -> SimResult`` store on disk.
+    """Content-addressed ``Scenario -> SimResult`` store on disk.
+
+    Every method takes a scenario the spec grammar can spell (see
+    :meth:`~repro.scenario.Scenario.spelled`): its content hash is the
+    address, and its canonical dict is stored beside the result.
 
     ``hits`` / ``misses`` count this instance's lookups (a ``put``
     does not count), so an orchestrator can report hit rates and tests
@@ -211,30 +215,26 @@ class ResultCache:
         #: sharing across caches rooted differently would serve results
         #: across isolation boundaries the roots exist to draw.
         self._memo: dict[str, dict[str, Any]] = {}
-        #: per-key in-flight locks for get_or_put (created lazily under
-        #: _inflight_guard, removed when the last waiter leaves)
-        self._inflight: dict[str, tuple[threading.Lock, int]] = {}
-        self._inflight_guard = threading.Lock()
 
     @property
     def _version_dir(self) -> Path:
         return self.root / f"v{CACHE_SCHEMA}"
 
-    def path_for(self, spec: RunSpec) -> Path:
-        """Where ``spec``'s result lives (whether or not it exists yet)."""
-        key = spec.key()
+    def path_for(self, scenario: Scenario) -> Path:
+        """Where ``scenario``'s result lives (whether or not it exists yet)."""
+        key = scenario.content_hash()
         return self._version_dir / key[:2] / f"{key}.json"
 
     # -- lookup ------------------------------------------------------------------
 
-    def get(self, spec: RunSpec) -> SimResult | None:
+    def get(self, scenario: Scenario) -> SimResult | None:
         """The stored result, or ``None`` on miss.
 
         Any defect in the stored entry — unparsable JSON, wrong schema,
         key mismatch, missing fields — deletes the entry and reports a
         miss; the cache never propagates corruption.
         """
-        path = self.path_for(spec)
+        path = self.path_for(scenario)
         key = path.stem
         tele = _telemetry.sink()
         memo = self._memo
@@ -242,8 +242,6 @@ class ResultCache:
         if data is not None:
             # Refresh LRU position (dicts iterate in insertion order, so
             # pop + reinsert is move-to-end; eviction pops the front).
-            # pop-with-default rather than del: concurrent get_or_put
-            # threads may refresh the same key at the same time.
             memo.pop(key, None)
             memo[key] = data
             self.hits += 1
@@ -290,68 +288,21 @@ class ResultCache:
         memo.pop(key, None)
         memo[key] = data
         if len(memo) > _MEMO_CAPACITY:
-            try:
-                memo.pop(next(iter(memo)))
-            except (KeyError, StopIteration, RuntimeError):
-                # A concurrent thread evicted first; capacity is a soft
-                # bound, losing one eviction race is harmless.
-                pass
+            memo.pop(next(iter(memo)))
 
-    def __contains__(self, spec: RunSpec) -> bool:
-        return self.path_for(spec).exists()
-
-    def get_or_put(
-        self, spec: RunSpec, compute: Callable[[], SimResult]
-    ) -> SimResult:
-        """The stored result, computing (and storing) it on miss — once.
-
-        The concurrent-writer contract the serve path needs: when many
-        threads ask for the same key at the same time, exactly one runs
-        ``compute()``; the losers of that race block on the key's
-        in-flight lock and then *re-read* the freshly persisted entry
-        instead of recomputing it.  ``put`` was always atomic (a lost
-        write race produces identical bytes, not corruption) — this
-        closes the remaining waste, the duplicated simulation itself.
-
-        Distinct keys never contend: the lock is per content address.
-        """
-        found = self.get(spec)
-        if found is not None:
-            return found
-        key = spec.key()
-        with self._inflight_guard:
-            lock, waiters = self._inflight.get(key, (None, 0))
-            if lock is None:
-                lock = threading.Lock()
-            self._inflight[key] = (lock, waiters + 1)
-        try:
-            with lock:
-                # The race re-read: a thread that held the lock before
-                # us may have computed and persisted this very key.
-                found = self.get(spec)
-                if found is not None:
-                    return found
-                result = compute()
-                self.put(spec, result)
-                return result
-        finally:
-            with self._inflight_guard:
-                lock, waiters = self._inflight[key]
-                if waiters <= 1:
-                    del self._inflight[key]
-                else:
-                    self._inflight[key] = (lock, waiters - 1)
+    def __contains__(self, scenario: Scenario) -> bool:
+        return self.path_for(scenario).exists()
 
     # -- store -------------------------------------------------------------------
 
-    def put(self, spec: RunSpec, result: SimResult) -> Path:
-        """Store ``result`` under ``spec``'s content address (atomic)."""
-        path = self.path_for(spec)
+    def put(self, scenario: Scenario, result: SimResult) -> Path:
+        """Store ``result`` under ``scenario``'s content address (atomic)."""
+        path = self.path_for(scenario)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA,
             "key": path.stem,
-            "spec": spec.canonical_dict(),
+            "spec": scenario.canonical_dict(),
             "result": result_to_dict(result),
         }
         fd, tmp_name = tempfile.mkstemp(

@@ -1,7 +1,8 @@
 """Resumable batch execution: cache hits skipped, failures retried.
 
 :func:`run_batch` is the farm's front door for the experiment harness:
-give it a list of specs and it returns one result per spec, in order,
+give it a list of spelled :class:`~repro.scenario.Scenario` values and
+it returns one result per scenario, in order,
 having simulated only what the cache did not already hold.  Because
 every completed simulation is persisted before the batch finishes, an
 interrupted sweep resumes where it stopped — rerunning the same command
@@ -9,8 +10,8 @@ costs only the cells that never completed.
 
 Transient failures (a worker killed by the OOM killer, a crashed
 container) are retried up to ``retries`` times; deterministic failures
-(a spec that cannot simulate) exhaust their retries and raise — or are
-reported per-spec with ``strict=False`` for sweeps that prefer partial
+(a scenario that cannot simulate) exhaust their retries and raise — or
+are reported per run with ``strict=False`` for sweeps that prefer partial
 results over none.
 """
 
@@ -22,8 +23,8 @@ from typing import Callable, Sequence
 from ..obs import telemetry as _telemetry
 from ..oracle.stats import SimResult
 from .cache import ResultCache
+from ..scenario.scenario import Scenario
 from .pool import FarmError, RunFailure, run_many
-from .spec import RunSpec
 
 __all__ = ["BatchReport", "run_batch"]
 
@@ -35,8 +36,8 @@ BatchProgressFn = Callable[[int, int, str], None]
 class BatchReport:
     """Outcome of one :func:`run_batch` call.
 
-    ``results[i]`` corresponds to ``specs[i]``; with ``strict=False`` a
-    permanently failed spec leaves ``None`` in its slot and an entry in
+    ``results[i]`` corresponds to ``scenarios[i]``; with ``strict=False``
+    a permanently failed run leaves ``None`` in its slot and an entry in
     ``failures``.
     """
 
@@ -48,19 +49,19 @@ class BatchReport:
 
     @property
     def misses(self) -> int:
-        """Specs the cache could not answer (simulated + failed)."""
+        """Runs the cache could not answer (simulated + failed)."""
         return len(self.results) - self.hits
 
     def __str__(self) -> str:
         return (
-            f"{len(self.results)} specs: {self.hits} cache hits, "
+            f"{len(self.results)} runs: {self.hits} cache hits, "
             f"{self.simulated} simulated ({self.retried} retried), "
             f"{len(self.failures)} failed"
         )
 
 
 def run_batch(
-    specs: Sequence[RunSpec],
+    scenarios: Sequence[Scenario],
     jobs: int | None = None,
     cache: ResultCache | None = None,
     use_cache: bool = True,
@@ -68,7 +69,7 @@ def run_batch(
     progress: BatchProgressFn | None = None,
     strict: bool = True,
 ) -> BatchReport:
-    """Execute ``specs``, reusing ``cache`` and farming misses out.
+    """Execute ``scenarios``, reusing ``cache`` and farming misses out.
 
     Parameters
     ----------
@@ -85,16 +86,16 @@ def run_batch(
         When false, the cache is neither read nor written (a forced
         recomputation that leaves existing entries untouched).
     retries:
-        How many extra attempts a failing spec gets.  Retries run with
-        the same deterministic spec — they only help against transient
+        How many extra attempts a failing run gets.  Retries run with
+        the same deterministic scenario — they only help against transient
         infrastructure failures, which is exactly the point: a
         deterministic simulation bug should fail loudly, not flakily.
     strict:
         On permanent failure, raise (default) or record the failure and
         leave ``None`` in that result slot.
     """
-    specs = list(specs)
-    total = len(specs)
+    scenarios = list(scenarios)
+    total = len(scenarios)
     results: list[SimResult | None] = [None] * total
     done = 0
     tele = _telemetry.sink()
@@ -118,8 +119,8 @@ def run_batch(
     reading = cache is not None and use_cache
     pending: list[int] = []
     hits = 0
-    for i, spec in enumerate(specs):
-        cached = cache.get(spec) if reading else None
+    for i, scenario in enumerate(scenarios):
+        cached = cache.get(scenario) if reading else None
         if cached is not None:
             results[i] = cached
             hits += 1
@@ -139,26 +140,26 @@ def run_batch(
 
         def persist(local_index: int, res: SimResult) -> None:
             if reading:
-                cache.put(specs[batch[local_index]], res)
+                cache.put(scenarios[batch[local_index]], res)
 
         if attempt == 0:
             outcome = run_many(
-                [specs[i] for i in batch],
+                [scenarios[i] for i in batch],
                 jobs=jobs,
                 return_errors=True,
                 on_result=persist,
             )
         else:
-            # Isolated retries: one spec per fresh single-worker pool.
-            # A spec whose worker died takes the whole pool (and every
+            # Isolated retries: one run per fresh single-worker pool.
+            # A run whose worker died takes the whole pool (and every
             # batch-mate's pending result) down with it, so retrying the
             # survivors alongside it would fail them forever; alone,
-            # each spec's fate is its own.
+            # each run's fate is its own.
             outcome = []
             for pos, i in enumerate(batch):
                 outcome.extend(
                     run_many(
-                        [specs[i]],
+                        [scenarios[i]],
                         jobs=1,
                         return_errors=True,
                         on_result=lambda _local, res, pos=pos: persist(pos, res),
@@ -183,7 +184,7 @@ def run_batch(
             failures = last_failures
             if strict:
                 raise FarmError(
-                    f"{len(failures)} spec(s) failed after {retries + 1} "
+                    f"{len(failures)} run(s) failed after {retries + 1} "
                     "attempt(s); first failure:\n" + failures[0].error
                 )
             for i in still_failing:

@@ -2,26 +2,27 @@
 
 The simulator is single-threaded pure Python, so the only way to use a
 multi-core machine is process parallelism.  :func:`run_many` executes a
-list of :class:`~repro.parallel.spec.RunSpec` on a process pool with
-three guarantees the experiment harness leans on:
+list of spelled :class:`~repro.scenario.Scenario` values on a process
+pool with three guarantees the experiment harness leans on:
 
-* **determinism** — a worker does exactly what ``spec.run()`` does in
-  process: seeds travel inside the specs, no worker identity or wall
-  clock enters the simulation, so ``run_many(specs, jobs=N)`` is
-  bit-identical to ``[spec.run() for spec in specs]`` for every ``N``;
-* **ordered results** — output index ``i`` is spec ``i``'s result, no
-  matter which worker finished first (dispatch is unordered for
+* **determinism** — a worker does exactly what ``scenario.run()`` does
+  in process: seeds travel inside the scenarios, no worker identity or
+  wall clock enters the simulation, so ``run_many(scenarios, jobs=N)``
+  is bit-identical to ``[sc.run() for sc in scenarios]`` for every
+  ``N``;
+* **ordered results** — output index ``i`` is scenario ``i``'s result,
+  no matter which worker finished first (dispatch is unordered for
   throughput; reassembly restores order);
 * **import-once workers** — each worker process runs
-  :func:`_worker_init` at birth, importing the simulator stack a single
-  time; per-task payloads are just small spec dataclasses.
+  :func:`warm_worker` at birth, importing the simulator stack a single
+  time; per-task payloads are just small frozen dataclasses of strings.
 
-Dispatch is chunked (``chunksize`` specs per IPC round-trip) because a
+Dispatch is chunked (``chunksize`` runs per IPC round-trip) because a
 small-grid simulation can be shorter than a pipe round-trip.  The pool
 is a ``concurrent.futures.ProcessPoolExecutor`` rather than
 ``multiprocessing.Pool`` deliberately: when a worker dies *without*
 raising (OOM-killed, segfault, container eviction) the executor breaks
-loudly (``BrokenProcessPool``) and the lost specs come back as
+loudly (``BrokenProcessPool``) and the lost runs come back as
 :class:`RunFailure` — retryable by the orchestrator — instead of the
 ``Pool.imap`` behavior of waiting forever for a result that will never
 arrive.
@@ -40,19 +41,19 @@ from typing import Callable, Sequence
 from ..obs import telemetry as _telemetry
 from ..oracle.engine import SimulationError
 from ..oracle.stats import SimResult
-from .spec import RunSpec
+from ..scenario.scenario import Scenario
 
 __all__ = ["FarmError", "RunFailure", "resolve_jobs", "run_many", "warm_worker"]
 
 #: progress callback signature: (completed_count, total_count)
 ProgressFn = Callable[[int, int], None]
 
-#: streaming-result callback signature: (spec_index, result)
+#: streaming-result callback signature: (run_index, result)
 ResultFn = Callable[[int, SimResult], None]
 
 
 class FarmError(SimulationError):
-    """A spec failed in a worker; carries the worker's traceback text.
+    """A run failed in a worker; carries the worker's traceback text.
 
     Derives from the engine's :class:`~repro.oracle.engine.SimulationError`
     (a deliberately *different* class would silently slip past callers'
@@ -62,14 +63,14 @@ class FarmError(SimulationError):
 
 @dataclass(frozen=True)
 class RunFailure:
-    """One spec's failure, as data (for ``return_errors=True`` callers)."""
+    """One run's failure, as data (for ``return_errors=True`` callers)."""
 
-    spec: RunSpec
+    scenario: Scenario
     error: str
 
     def __str__(self) -> str:
         head = self.error.strip().splitlines()[-1] if self.error.strip() else "?"
-        return f"{self.spec.workload} on {self.spec.topology} [{self.spec.strategy}]: {head}"
+        return f"{self.scenario.label()}: {head}"
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -104,33 +105,29 @@ def warm_worker() -> None:
     _telemetry.init_from_env()
 
 
-#: backwards-compatible private alias (the executor initializer below)
-_worker_init = warm_worker
-
-
-def _run_one(item: tuple[int, RunSpec]) -> tuple[int, bool, object]:
-    """Execute one spec; never raises (errors travel home as text)."""
-    index, spec = item
+def _run_one(item: tuple[int, Scenario]) -> tuple[int, bool, object]:
+    """Execute one scenario; never raises (errors travel home as text)."""
+    index, scenario = item
     try:
-        return index, True, spec.run()
+        return index, True, scenario.run()
     except Exception:
         return index, False, traceback.format_exc()
 
 
 def _run_chunk(
-    items: list[tuple[int, RunSpec]],
+    items: list[tuple[int, Scenario]],
 ) -> list[tuple[int, bool, object]]:
-    """Worker entry point: one IPC round-trip covers a chunk of specs."""
+    """Worker entry point: one IPC round-trip covers a chunk of runs."""
     return [_run_one(item) for item in items]
 
 
-def _default_chunksize(n_specs: int, jobs: int) -> int:
+def _default_chunksize(n_runs: int, jobs: int) -> int:
     # ~4 chunks per worker balances scheduling slack against IPC count.
-    return max(1, n_specs // (jobs * 4))
+    return max(1, n_runs // (jobs * 4))
 
 
 def run_many(
-    specs: Sequence[RunSpec],
+    scenarios: Sequence[Scenario],
     jobs: int | None = None,
     chunksize: int | None = None,
     progress: ProgressFn | None = None,
@@ -139,38 +136,40 @@ def run_many(
     isolate: bool = False,
     start_method: str | None = None,
 ) -> list[SimResult | RunFailure]:
-    """Run every spec, farmed across ``jobs`` worker processes.
+    """Run every scenario, farmed across ``jobs`` worker processes.
 
-    Results come back in spec order.  A failing spec raises
+    ``scenarios`` must be spelled (all parts spec strings, see
+    :meth:`~repro.scenario.Scenario.spelled`) so they pickle cheaply.
+    Results come back in input order.  A failing run raises
     :class:`FarmError` (first failure wins) unless
     ``return_errors`` is set, in which case its slot holds a
-    :class:`RunFailure` and the other specs still complete.  A worker
+    :class:`RunFailure` and the other runs still complete.  A worker
     that dies without raising (OOM-killed, segfault) surfaces the same
-    way — as failures of every spec whose result was lost, never as a
+    way — as failures of every run whose result was lost, never as a
     hang.  ``jobs=None`` (or ``1``) runs serially in this process (no
     pool, same results); ``jobs=0`` uses every core.
 
     ``on_result`` fires in *this* process the moment a result arrives
-    (completion order, not spec order) — the orchestrator's hook for
+    (completion order, not input order) — the orchestrator's hook for
     persisting completed runs before the batch finishes, so an
     interrupted batch keeps its progress.
 
     ``isolate`` forces worker subprocesses even when ``jobs`` resolves
-    to 1 — the orchestrator's retry mode, where a spec that killed its
+    to 1 — the orchestrator's retry mode, where a run that killed its
     worker must not get the chance to kill this process instead.
 
     ``start_method`` pins the multiprocessing start method (``"fork"``,
     ``"spawn"``, ``"forkserver"``); ``None`` keeps the platform default
     (fork where available).  Results are bit-identical either way —
     the knob exists for platforms without fork and for tests exercising
-    the spawn path's ``_worker_init`` re-initialization.
+    the spawn path's :func:`warm_worker` re-initialization.
     """
-    specs = list(specs)
-    if not specs:
+    scenarios = list(scenarios)
+    if not scenarios:
         return []
-    jobs = min(resolve_jobs(jobs), len(specs))
+    jobs = min(resolve_jobs(jobs), len(scenarios))
 
-    out: list[SimResult | RunFailure | None] = [None] * len(specs)
+    out: list[SimResult | RunFailure | None] = [None] * len(scenarios)
     done = 0
 
     def record(index: int, ok: bool, payload: object) -> None:
@@ -180,24 +179,23 @@ def run_many(
             if on_result is not None:
                 on_result(index, payload)
         elif return_errors:
-            out[index] = RunFailure(specs[index], str(payload))
+            out[index] = RunFailure(scenarios[index], str(payload))
         else:
             raise FarmError(
-                f"simulation of spec #{index} "
-                f"({specs[index].workload} on {specs[index].topology} "
-                f"[{specs[index].strategy}]) failed in a worker:\n{payload}"
+                f"simulation of run #{index} ({scenarios[index].label()}) "
+                f"failed in a worker:\n{payload}"
             )
         done += 1
         if progress is not None:
-            progress(done, len(specs))
+            progress(done, len(scenarios))
 
     if jobs <= 1 and not isolate:
-        for item in enumerate(specs):
+        for item in enumerate(scenarios):
             record(*_run_one(item))
         return out  # type: ignore[return-value]
 
     # fork shares the already-imported stack with workers for free;
-    # spawn (the only option on some platforms) relies on _worker_init.
+    # spawn (the only option on some platforms) relies on warm_worker.
     methods = multiprocessing.get_all_start_methods()
     if start_method is not None and start_method not in methods:
         raise ValueError(
@@ -207,15 +205,15 @@ def run_many(
     ctx = multiprocessing.get_context(
         start_method or ("fork" if "fork" in methods else "spawn")
     )
-    chunksize = chunksize or _default_chunksize(len(specs), jobs)
+    chunksize = chunksize or _default_chunksize(len(scenarios), jobs)
     tele = _telemetry.sink()
     if tele is not None:
-        tele.emit("farm.pool", jobs=jobs, specs=len(specs), chunksize=chunksize)
-    indexed = list(enumerate(specs))
+        tele.emit("farm.pool", jobs=jobs, specs=len(scenarios), chunksize=chunksize)
+    indexed = list(enumerate(scenarios))
     chunks = [indexed[i : i + chunksize] for i in range(0, len(indexed), chunksize)]
 
     executor = ProcessPoolExecutor(
-        max_workers=jobs, mp_context=ctx, initializer=_worker_init
+        max_workers=jobs, mp_context=ctx, initializer=warm_worker
     )
     try:
         pending = {executor.submit(_run_chunk, chunk): chunk for chunk in chunks}
@@ -230,14 +228,14 @@ def run_many(
                     broken = exc
                     triples = [
                         (index, False, f"worker process died mid-batch ({exc})")
-                        for index, _spec in chunk
+                        for index, _scenario in chunk
                     ]
                 for index, ok, payload in triples:
                     record(index, ok, payload)
             if broken is not None:
                 # The pool is unusable; everything still queued is lost.
                 for future, chunk in pending.items():
-                    for index, _spec in chunk:
+                    for index, _scenario in chunk:
                         record(index, False, f"worker process died mid-batch ({broken})")
                 break
     finally:

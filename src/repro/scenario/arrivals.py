@@ -1,11 +1,8 @@
 """The open-system arrival block, as one value.
 
-``queries`` / ``arrival_spacing`` / ``arrival_pes`` / ``arrival_times``
-used to be four loose knobs re-plumbed (and re-validated, and
-re-``None if x is None else list(x)``-ed) through every layer that
-touches a run: ``Machine.__init__``, ``build_machine``, ``simulate``,
-``RunSpec``, ``planned_run``.  :class:`Arrivals` collapses them into a
-single frozen, hashable value with the validation in exactly one place.
+:class:`Arrivals` bundles ``queries`` / ``spacing`` / ``pes`` /
+``times`` into a single frozen, hashable value with the validation in
+exactly one place; :class:`~repro.scenario.Scenario` carries one.
 
 The default instance (one query, injected at the scenario's
 ``start_pe`` at time 0) is the paper's closed-system run; anything else

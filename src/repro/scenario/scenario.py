@@ -8,17 +8,18 @@ parts may be a live object or a factory spec string — the registries
 (:data:`repro.core.STRATEGIES`, :data:`repro.topology.TOPOLOGIES`,
 :data:`repro.workload.WORKLOADS`) translate freely between the two.
 
-One value, four consumers:
+One value, five consumers:
 
 * ``Scenario.build()`` / ``Scenario.run()`` — construct the wired
-  :class:`~repro.oracle.machine.Machine` / run it (``simulate`` and
-  ``build_machine`` are now thin shims over these);
-* :class:`~repro.parallel.spec.RunSpec` — the farm's picklable form is
-  ``RunSpec.from_scenario(sc)``, and every content hash is
-  ``Scenario.content_hash()`` (so pre-Scenario warm caches keep
-  hitting);
-* :class:`~repro.experiments.plan.ExperimentPlan` — plans are built
-  from and emit scenarios;
+  :class:`~repro.oracle.machine.Machine` / run it (``simulate`` is a
+  one-line shim over ``run``);
+* the farm (:mod:`repro.parallel`) — :func:`~repro.parallel.run_batch`
+  ships spelled scenarios to worker processes, and the
+  :class:`~repro.parallel.cache.ResultCache` stores each result under
+  ``Scenario.content_hash()``;
+* :class:`~repro.experiments.plan.ExperimentPlan` — a plan is a tuple
+  of scenarios plus a reducer;
+* ``repro serve`` — the fleet's wire form is ``Scenario.to_json()``;
 * the CLI — ``repro run "fib:15 @ grid:8x8 / cwn?seed=3"`` parses the
   compact **spec grammar**::
 
@@ -103,9 +104,9 @@ class Scenario:
         arrival_times: Sequence[float] | None = None,
         arrivals: Arrivals | None = None,
     ) -> "Scenario":
-        """Keyword-compatible constructor (mirrors the legacy ``simulate``).
+        """Keyword constructor taking the arguments of ``simulate``.
 
-        The four legacy arrival knobs and the bundled ``arrivals`` value
+        The four loose arrival knobs and the bundled ``arrivals`` value
         are alternatives; passing both is a :class:`ValueError`.
         """
         arrivals = Arrivals.resolve(
@@ -254,10 +255,9 @@ class Scenario:
         memoized on the instance — the cache consults it several times
         per run, and the fields it derives from are frozen.
 
-        The layout is byte-compatible with the pre-Scenario ``RunSpec``
-        canonical form: default arrivals are omitted entirely, so every
-        previously computed content hash — and the warm cache entries
-        addressed by it — stays valid.
+        Default arrivals are omitted entirely, so a closed-system run
+        hashes exactly as it did before the arrival block existed — and
+        the warm cache entries addressed by those hashes stay valid.
         """
         cached = self.__dict__.get("_canonical_dict")
         if cached is None:
@@ -426,6 +426,10 @@ class Scenario:
             "start_pe": self.start_pe,
             "arrivals": self.arrivals.to_dict(),
         }
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as sorted-key JSON (the serve fleet's wire form)."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":

@@ -19,14 +19,15 @@ crosses the process boundary.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import queue as queue_mod
 import traceback
-from typing import Any, Sequence
+from typing import Any
 
 from ..parallel.cache import result_to_dict
 from ..parallel.pool import warm_worker
-from ..parallel.spec import RunSpec
+from ..scenario import Scenario
 
 __all__ = ["FleetResult", "WorkerFleet", "fleet_worker_main"]
 
@@ -46,15 +47,17 @@ def fleet_worker_main(
     The loop only ends on the ``None`` sentinel.  Failures never kill
     the worker — the traceback travels home as data and the worker
     stays warm for the next task (a service must outlive a bad spec).
+    Each task carries one :meth:`Scenario.to_json <repro.scenario.Scenario.to_json>`
+    payload.
     """
     warm_worker()
     while True:
         item = tasks.get()
         if item is None:
             break
-        task_id, spec_json = item
+        task_id, scenario_json = item
         try:
-            result = RunSpec.from_json(spec_json).run()
+            result = Scenario.from_dict(json.loads(scenario_json)).run()
             results.put((task_id, worker_id, True, result_to_dict(result)))
         except Exception:
             results.put((task_id, worker_id, False, traceback.format_exc()))
@@ -63,7 +66,7 @@ def fleet_worker_main(
 class WorkerFleet:
     """A fixed-size fleet of warm simulation workers.
 
-    ``submit(worker, task_id, spec_json)`` places a task on one
+    ``submit(worker, task_id, scenario_json)`` places a task on one
     worker's bounded queue (raising :class:`queue.Full` when that
     worker's backlog is at capacity — the caller's backpressure
     signal); ``next_result(timeout)`` blocks for the next completed
@@ -147,11 +150,11 @@ class WorkerFleet:
 
     # -- work --------------------------------------------------------------------
 
-    def submit(self, worker: int, task_id: int, spec_json: str) -> None:
+    def submit(self, worker: int, task_id: int, scenario_json: str) -> None:
         """Queue one task on ``worker``; :class:`queue.Full` = backpressure."""
         if not self._started:
             raise RuntimeError("fleet not started")
-        self._tasks[worker].put_nowait((task_id, spec_json))
+        self._tasks[worker].put_nowait((task_id, scenario_json))
         self.outstanding[worker] += 1
 
     def next_result(self, timeout: float | None = None) -> FleetResult | None:

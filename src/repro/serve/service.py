@@ -28,13 +28,13 @@ dispatch, complete, busy) under the repo's sink-guard convention, so
 from __future__ import annotations
 
 import asyncio
+import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..obs import telemetry as _telemetry
 from ..parallel.cache import ResultCache, result_from_dict, result_to_dict
-from ..parallel.spec import RunSpec
 from ..scenario import Scenario
 from .fleet import WorkerFleet
 from .policy import ServePolicy
@@ -47,7 +47,8 @@ class Busy(Exception):
 
 
 class ComputeError(Exception):
-    """A fleet worker failed this scenario; carries its traceback text."""
+    """A fleet worker failed this scenario (the message carries its
+    traceback text), or no live worker was left to run it."""
 
 
 @dataclass
@@ -95,7 +96,7 @@ class _Entry:
 
     key: str
     spec_text: str
-    run_spec: RunSpec
+    scenario: Scenario
     future: "asyncio.Future[dict[str, Any]]"
     worker: int | None = None
     admitted: float = field(default_factory=time.perf_counter)
@@ -209,9 +210,8 @@ class ScenarioService:
                 spec_text, key, "coalesced", result, _ms_since(start)
             )
 
-        run_spec = RunSpec.from_scenario(scenario)
         if self.cache is not None:
-            cached = self.cache.get(run_spec)
+            cached = self.cache.get(scenario)
             if cached is not None:
                 self.stats.cache_hits += 1
                 if tele is not None:
@@ -235,7 +235,7 @@ class ScenarioService:
         if tele is not None:
             tele.emit("serve.request", key=key[:12], source="miss")
         loop = asyncio.get_running_loop()
-        entry = _Entry(key, spec_text, run_spec, loop.create_future())
+        entry = _Entry(key, spec_text, scenario, loop.create_future())
         self._inflight[key] = entry
         self._admission.put_nowait(key)
         result = await asyncio.shield(entry.future)
@@ -276,30 +276,31 @@ class ScenarioService:
             self._dispatch_one(entry, tele)
 
     def _dispatch_one(self, entry: _Entry, tele: Any) -> None:
-        import queue as queue_mod
-
-        worker = self.policy.pick(self.fleet.outstanding)
+        fleet = self.fleet
+        alive = fleet.alive()
+        live = [i for i, ok in enumerate(alive) if ok]
+        if not live:
+            self.stats.errors += 1
+            self._fail(
+                entry,
+                ComputeError(
+                    f"all {fleet.workers} fleet workers have died; "
+                    "restart the service"
+                ),
+            )
+            return
         task_id = self._next_task_id
         self._next_task_id += 1
-        spec_json = entry.run_spec.to_json()
-        try:
-            self.fleet.submit(worker, task_id, spec_json)
-        except queue_mod.Full:
-            # The chosen worker's bounded queue is at capacity; fall
-            # back to the globally least-loaded one before giving up.
-            fallback = min(
-                range(self.fleet.workers), key=lambda i: self.fleet.outstanding[i]
-            )
-            try:
-                self.fleet.submit(fallback, task_id, spec_json)
-                worker = fallback
-            except queue_mod.Full:
+        payload = entry.scenario.to_json()
+        worker = self.policy.pick(fleet.outstanding)
+        if not (alive[worker] and self._try_submit(worker, task_id, payload)):
+            # The chosen worker is dead or its bounded queue is at
+            # capacity; fall back to the least-loaded live worker
+            # before giving up.
+            worker = min(live, key=lambda i: fleet.outstanding[i])
+            if not self._try_submit(worker, task_id, payload):
                 self.stats.rejected += 1
-                self._inflight.pop(entry.key, None)
-                if not entry.future.done():
-                    entry.future.set_exception(
-                        Busy("every fleet queue is at capacity")
-                    )
+                self._fail(entry, Busy("every fleet queue is at capacity"))
                 return
         entry.worker = worker
         self._by_task[task_id] = entry
@@ -310,8 +311,21 @@ class ScenarioService:
                 key=entry.key[:12],
                 worker=worker,
                 policy=self.policy.name,
-                outstanding=list(self.fleet.outstanding),
+                outstanding=list(fleet.outstanding),
             )
+
+    def _try_submit(self, worker: int, task_id: int, payload: str) -> bool:
+        try:
+            self.fleet.submit(worker, task_id, payload)
+        except queue_mod.Full:
+            return False
+        return True
+
+    def _fail(self, entry: _Entry, error: Exception) -> None:
+        """Answer ``entry``'s waiters with ``error``; it leaves the flight."""
+        self._inflight.pop(entry.key, None)
+        if not entry.future.done():
+            entry.future.set_exception(error)
 
     # -- completions -------------------------------------------------------------
 
@@ -338,7 +352,7 @@ class ScenarioService:
             if self.cache is not None:
                 # put() is atomic; a concurrent serve process racing on
                 # the same key writes identical bytes.
-                self.cache.put(entry.run_spec, result_from_dict(payload))
+                self.cache.put(entry.scenario, result_from_dict(payload))
             if tele is not None:
                 tele.emit(
                     "serve.complete",
@@ -373,14 +387,11 @@ class ScenarioService:
         ]
         for task_id, entry in lost:
             del self._by_task[task_id]
-            self._inflight.pop(entry.key, None)
             self.stats.errors += 1
-            if not entry.future.done():
-                entry.future.set_exception(
-                    ComputeError(
-                        f"fleet worker {entry.worker} died with this task in flight"
-                    )
-                )
+            self._fail(
+                entry,
+                ComputeError(f"fleet worker {entry.worker} died with this task in flight"),
+            )
 
 
 def _ms_since(start: float) -> float:

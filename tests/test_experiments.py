@@ -19,7 +19,7 @@ from repro.experiments.optimization import (
     render_table1,
     run_optimization,
 )
-from repro.experiments.runner import build_machine, simulate
+from repro.experiments.runner import simulate
 from repro.experiments.timeseries import (
     render_timeseries,
     rise_time,
@@ -28,6 +28,7 @@ from repro.experiments.timeseries import (
 )
 from repro.experiments.utilization_curves import render_curve, run_curve
 from repro.oracle.config import SimConfig
+from repro.scenario import Scenario
 from repro.topology import Grid, Hypercube
 from repro.workload import Fibonacci
 
@@ -49,18 +50,18 @@ class TestRunner:
         assert res.seed == 99
 
     def test_bare_strategy_name_uses_family_params(self):
-        m_grid = build_machine("fib:9", "grid:5x5", "cwn")
+        m_grid = Scenario.of("fib:9", "grid:5x5", "cwn").build()
         assert m_grid.strategy.radius == 9  # Table 1 grid parameters
-        m_dlm = build_machine("fib:9", "dlm:5x5x5", "cwn")
+        m_dlm = Scenario.of("fib:9", "dlm:5x5x5", "cwn").build()
         assert m_dlm.strategy.radius == 5  # Table 1 DLM parameters
 
     def test_explicit_strategy_params(self):
-        m = build_machine("fib:9", "grid:5x5", "cwn:radius=4,horizon=2")
+        m = Scenario.of("fib:9", "grid:5x5", "cwn:radius=4,horizon=2").build()
         assert (m.strategy.radius, m.strategy.horizon) == (4, 2)
 
     def test_unknown_strategy_spec(self):
         with pytest.raises(ValueError):
-            build_machine("fib:9", "grid:4x4", "astrology")
+            Scenario.of("fib:9", "grid:4x4", "astrology").build()
 
 
 class TestScale:

@@ -180,10 +180,10 @@ def _recorded_stream(tmp_path, per_pe=True):
     from repro.oracle.config import SimConfig
     from repro.parallel import ResultCache
     from repro.parallel.orchestrator import run_batch
-    from repro.parallel.spec import RunSpec
+    from repro.scenario import Scenario
 
     stream = tmp_path / "stream.jsonl"
-    spec = RunSpec.build(
+    spec = Scenario.of(
         "fib:10",
         "grid:4x4",
         "cwn",
@@ -312,12 +312,13 @@ class TestFarmSummarySatellites:
         assert "[farm]" in capsys.readouterr().err
 
     def test_cache_stats_json(self, tmp_path, capsys):
-        from repro.parallel import ResultCache, RunSpec
+        from repro.parallel import ResultCache
         from repro.parallel.cache import CACHE_SCHEMA
+        from repro.scenario import Scenario
 
         root = tmp_path / "cache"
         cache = ResultCache(root)
-        spec = RunSpec.build("fib:9", "grid:4x4", "cwn", seed=1)
+        spec = Scenario.of("fib:9", "grid:4x4", "cwn", seed=1)
         cache.put(spec, spec.run())
         assert main(["cache", "stats", "--json", "--dir", str(root)]) == 0
         payload = json.loads(capsys.readouterr().out)

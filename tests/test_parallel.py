@@ -1,4 +1,4 @@
-"""The simulation farm: canonical specs, the content-addressed cache,
+"""The simulation farm: scenario keys, the content-addressed cache,
 and the determinism guarantee (parallel == serial, bit for bit).
 """
 
@@ -16,12 +16,12 @@ from repro.experiments.runner import simulate
 from repro.oracle.config import CostModel, SimConfig
 from repro.parallel import (
     ResultCache,
-    RunSpec,
     FarmError,
     run_batch,
     run_many,
 )
 from repro.parallel.cache import result_from_dict, result_to_dict
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import Fibonacci
 
@@ -45,48 +45,50 @@ def assert_results_equal(a, b):
     assert a.events_executed == b.events_executed
 
 
-# -- RunSpec ---------------------------------------------------------------------
+# -- scenario keys ---------------------------------------------------------------
 
 class TestRunSpec:
+    """The farm's run currency: a Scenario as hashable, JSON-able data."""
+
     def test_json_round_trip_is_exact(self):
-        spec = RunSpec(
+        spec = Scenario.of(
             "fib:9",
             "grid:5x5",
             "cwn",
             config=SimConfig(costs=CostModel.high_comm(), pe_speeds=(1.0, 2.0)),
             seed=3,
         )
-        assert RunSpec.from_json(spec.to_json()) == spec
+        assert Scenario.from_dict(json.loads(spec.to_json())) == spec
 
     def test_build_from_objects_matches_spec_strings(self):
-        from_objects = RunSpec.build(Fibonacci(9), Grid(5, 5), paper_cwn("grid"), seed=1)
-        from_strings = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        assert from_objects.key() == from_strings.key()
+        from_objects = Scenario.of(Fibonacci(9), Grid(5, 5), paper_cwn("grid"), seed=1)
+        from_strings = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
+        assert from_objects.content_hash() == from_strings.content_hash()
 
     def test_key_collapses_spelling_aliases(self):
-        bare = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        explicit = RunSpec("FIB:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
-        assert bare.key() == explicit.key()
+        bare = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
+        explicit = Scenario.of("FIB:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
+        assert bare.content_hash() == explicit.content_hash()
 
     def test_key_resolves_family_parameters(self):
         # "cwn" means different Table 1 parameters on grid vs DLM, so the
         # same bare name on different topologies must not share a key
         # beyond the topology difference itself: explicit DLM parameters
         # must equal bare "cwn" on a DLM.
-        bare = RunSpec("fib:9", "dlm:4x8x8", "cwn", seed=1)
-        explicit = RunSpec("fib:9", "dlm:4x8x8", "cwn:radius=5,horizon=1", seed=1)
-        assert bare.key() == explicit.key()
+        bare = Scenario.of("fib:9", "dlm:4x8x8", "cwn", seed=1)
+        explicit = Scenario.of("fib:9", "dlm:4x8x8", "cwn:radius=5,horizon=1", seed=1)
+        assert bare.content_hash() == explicit.content_hash()
 
     def test_key_is_stable_across_calls_and_sensitive_to_inputs(self):
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        assert spec.key() == spec.key()
-        assert spec.key() != RunSpec("fib:9", "grid:5x5", "cwn", seed=2).key()
-        assert spec.key() != RunSpec("fib:10", "grid:5x5", "cwn", seed=1).key()
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
+        assert spec.content_hash() == spec.content_hash()
+        assert spec.content_hash() != Scenario.of("fib:9", "grid:5x5", "cwn", seed=2).content_hash()
+        assert spec.content_hash() != Scenario.of("fib:10", "grid:5x5", "cwn", seed=1).content_hash()
         assert (
-            spec.key()
-            != RunSpec(
+            spec.content_hash()
+            != Scenario.of(
                 "fib:9", "grid:5x5", "cwn", config=SimConfig(costs=CostModel.unit()), seed=1
-            ).key()
+            ).content_hash()
         )
 
     def test_float_parameters_never_collapse_across_keys(self):
@@ -97,17 +99,17 @@ class TestRunSpec:
 
         odd = GradientModel(low_water_mark=1, high_water_mark=2.0000001)
         assert make_strategy(spec_of(odd)).high_water_mark == 2.0000001
-        k_odd = RunSpec("fib:9", "grid:5x5", spec_of(odd), seed=1).key()
-        k_even = RunSpec("fib:9", "grid:5x5", "gm:lwm=1,hwm=2,interval=20", seed=1).key()
+        k_odd = Scenario.of("fib:9", "grid:5x5", spec_of(odd), seed=1).content_hash()
+        k_even = Scenario.of("fib:9", "grid:5x5", "gm:lwm=1,hwm=2,interval=20", seed=1).content_hash()
         assert k_odd != k_even
 
     def test_seed_override_folds_into_canonical_config(self):
-        via_override = RunSpec("fib:9", "grid:5x5", "cwn", seed=5)
-        via_config = RunSpec("fib:9", "grid:5x5", "cwn", config=SimConfig(seed=5))
-        assert via_override.key() == via_config.key()
+        via_override = Scenario.of("fib:9", "grid:5x5", "cwn", seed=5)
+        via_config = Scenario.of("fib:9", "grid:5x5", "cwn", config=SimConfig(seed=5))
+        assert via_override.content_hash() == via_config.content_hash()
 
     def test_run_equals_simulate(self):
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
         assert_results_equal(spec.run(), simulate("fib:9", "grid:5x5", "cwn", seed=1))
 
 
@@ -116,7 +118,7 @@ class TestRunSpec:
 class TestResultCache:
     def test_miss_then_hit_round_trips_result(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
         assert cache.get(spec) is None
         assert cache.misses == 1
         result = spec.run()
@@ -130,14 +132,14 @@ class TestResultCache:
 
     def test_alias_specs_share_an_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
         cache.put(spec, spec.run())
-        alias = RunSpec("fib:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
+        alias = Scenario.of("fib:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
         assert cache.get(alias) is not None
 
     def test_corrupt_entry_recovers_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
         cache.put(spec, spec.run())
         path = cache.path_for(spec)
         path.write_text("{ not json at all")
@@ -149,7 +151,7 @@ class TestResultCache:
 
     def test_wrong_schema_or_key_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
         cache.put(spec, spec.run())
         path = cache.path_for(spec)
         payload = json.loads(path.read_text())
@@ -159,7 +161,7 @@ class TestResultCache:
 
     def test_memo_serves_repeat_gets_without_disk(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
         cache.put(spec, spec.run())
         first = cache.get(spec)  # disk read populates the in-process memo
         cache.path_for(spec).unlink()  # memo is now the only copy
@@ -176,7 +178,7 @@ class TestResultCache:
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         for seed in (1, 2, 3):
-            spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=seed)
+            spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=seed)
             cache.put(spec, spec.run())
         stats = cache.stats()
         assert stats.entries == 3
@@ -204,10 +206,10 @@ class TestResultCache:
 # -- the farm --------------------------------------------------------------------
 
 SPECS = [
-    RunSpec("fib:9", "grid:5x5", "cwn", seed=1),
-    RunSpec("fib:9", "grid:5x5", "gm", seed=1),
-    RunSpec("dc:1:55", "dlm:4x8x8", "cwn", seed=2),
-    RunSpec("fib:8", "hypercube:4", "stealing", seed=3),
+    Scenario.of("fib:9", "grid:5x5", "cwn", seed=1),
+    Scenario.of("fib:9", "grid:5x5", "gm", seed=1),
+    Scenario.of("dc:1:55", "dlm:4x8x8", "cwn", seed=2),
+    Scenario.of("fib:8", "hypercube:4", "stealing", seed=3),
 ]
 
 
@@ -227,7 +229,7 @@ class TestRunMany:
     ):
         """Every start method gives bit-identical results, and workers
         join the telemetry stream — trivially under fork (the sink rides
-        the fork), via ``_worker_init``'s ``init_from_env`` under
+        the fork), via ``warm_worker``'s ``init_from_env`` under
         spawn/forkserver (a spawned worker starts from a blank module).
         """
         if start_method not in multiprocessing.get_all_start_methods():
@@ -252,7 +254,7 @@ class TestRunMany:
         assert [r.strategy for r in farmed] == ["cwn", "gm", "cwn", "stealing"]
 
     def test_failures_raise_with_worker_traceback(self):
-        bad = RunSpec("fib:9", "grid:5x5", "no-such-strategy", seed=1)
+        bad = Scenario.of("fib:9", "grid:5x5", "no-such-strategy", seed=1)
         with pytest.raises(FarmError, match="no-such-strategy"):
             run_many([bad], jobs=2)
 
@@ -277,8 +279,8 @@ class TestRunMany:
         assert cache.stats().entries == len(SPECS)
 
 
-class _WorkerKillerSpec(RunSpec):
-    """A spec whose run SIGKILLs its worker — no exception, no result."""
+class _WorkerKillerScenario(Scenario):
+    """A scenario whose run SIGKILLs its worker — no exception, no result."""
 
     def run(self):
         import os
@@ -289,7 +291,7 @@ class _WorkerKillerSpec(RunSpec):
 
 class TestWorkerDeath:
     def test_killed_worker_fails_its_specs_instead_of_hanging(self):
-        killer = _WorkerKillerSpec("fib:9", "grid:5x5", "cwn", seed=9)
+        killer = _WorkerKillerScenario.of("fib:9", "grid:5x5", "cwn", seed=9)
         out = run_many([SPECS[0], killer, SPECS[1]], jobs=2, return_errors=True)
         from repro.parallel import RunFailure
 
@@ -300,7 +302,7 @@ class TestWorkerDeath:
         assert all(r is not None for r in out)
 
     def test_run_batch_retries_recover_the_survivors(self, tmp_path):
-        killer = _WorkerKillerSpec("fib:9", "grid:5x5", "cwn", seed=9)
+        killer = _WorkerKillerScenario.of("fib:9", "grid:5x5", "cwn", seed=9)
         report = run_batch(
             [SPECS[0], killer, SPECS[1]],
             jobs=2,
@@ -360,7 +362,7 @@ class TestRunBatch:
         assert cache.stats().entries == 0
 
     def test_strict_false_reports_failures_in_place(self):
-        bad = RunSpec("fib:9", "grid:5x5", "no-such-strategy", seed=1)
+        bad = Scenario.of("fib:9", "grid:5x5", "no-such-strategy", seed=1)
         report = run_batch([SPECS[0], bad], jobs=1, retries=0, strict=False)
         assert report.results[0] is not None
         assert report.results[1] is None
@@ -413,82 +415,3 @@ class TestExperimentWiring:
         serial = sweep.run([2, 4], seeds=(1, 2))
         farmed = sweep.run([2, 4], seeds=(1, 2), jobs=2, cache=ResultCache(tmp_path))
         assert farmed == serial
-
-
-class TestGetOrPut:
-    """The singleflight contract: one compute per key under contention."""
-
-    def test_miss_computes_and_persists(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return spec.run()
-
-        first = cache.get_or_put(spec, compute)
-        second = cache.get_or_put(spec, compute)
-        assert len(calls) == 1, "second call must be a read, not a recompute"
-        assert_results_equal(first, second)
-        assert cache.path_for(spec).exists()
-
-    def test_thread_hammer_computes_exactly_once(self, tmp_path):
-        import threading
-
-        cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        reference = spec.run()
-        barrier = threading.Barrier(8)
-        compute_count = []
-        count_lock = threading.Lock()
-        results = [None] * 8
-        errors = []
-
-        def compute():
-            with count_lock:
-                compute_count.append(1)
-            return spec.run()
-
-        def hammer(i):
-            try:
-                barrier.wait()  # maximize the race window
-                results[i] = cache.get_or_put(spec, compute)
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not errors, errors
-        assert len(compute_count) == 1, (
-            f"{len(compute_count)} computes for one key — the losers of the "
-            f"write race must re-read, not recompute"
-        )
-        for result in results:
-            assert result is not None
-            assert_results_equal(result, reference)
-        # The in-flight lock registry must drain back to empty.
-        assert not cache._inflight
-
-    def test_distinct_keys_do_not_serialize(self, tmp_path):
-        import threading
-
-        cache = ResultCache(tmp_path)
-        specs = [RunSpec("fib:8", "grid:4x4", "cwn", seed=s) for s in (1, 2, 3, 4)]
-        started = threading.Barrier(4)
-        results = [None] * 4
-
-        def hammer(i):
-            started.wait()
-            results[i] = cache.get_or_put(specs[i], specs[i].run)
-
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert all(r is not None for r in results)
-        assert {r.seed for r in results} == {1, 2, 3, 4}

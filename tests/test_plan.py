@@ -15,6 +15,7 @@ contract:
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -22,17 +23,21 @@ import pytest
 from repro.core import CWN, paper_cwn, paper_gm
 from repro.experiments.plan import (
     ExperimentPlan,
-    LocalRun,
     collect_reports,
     execute,
     merge_plans,
-    planned_run,
 )
 from repro.experiments.runner import simulate
 from repro.oracle.config import CostModel, SimConfig
-from repro.parallel import ResultCache, RunSpec
+from repro.parallel import ResultCache
+from repro.scenario import Scenario
 from repro.topology import Grid, Hypercube
 from repro.workload import Fibonacci
+
+
+def _unspellable():
+    """A strategy the spec grammar cannot spell: plans run it in-process."""
+    return CWN(radius=3, horizon=1, tie_break="lowest")
 
 
 # -- engine basics ---------------------------------------------------------------
@@ -42,8 +47,8 @@ class TestExecuteEngine:
         plan = ExperimentPlan(
             "demo",
             (
-                RunSpec("fib:7", "grid:4x4", "cwn", seed=1),
-                RunSpec("fib:9", "grid:4x4", "gm", seed=1),
+                Scenario.of("fib:7", "grid:4x4", "cwn", seed=1),
+                Scenario.of("fib:9", "grid:4x4", "gm", seed=1),
             ),
             lambda results, meta: [(m, r.workload) for m, r in zip(meta, results)],
             ("a", "b"),
@@ -54,34 +59,43 @@ class TestExecuteEngine:
         with pytest.raises(ValueError, match="meta"):
             ExperimentPlan(
                 "bad",
-                (RunSpec("fib:7", "grid:4x4", "cwn"),),
+                (Scenario.of("fib:7", "grid:4x4", "cwn"),),
                 lambda r, m: r,
                 ("x", "y"),
             )
 
     def test_local_runs_interleave_in_order(self):
-        spec = RunSpec("fib:7", "grid:4x4", "cwn", seed=1)
-        local = LocalRun(lambda: simulate("fib:7", "grid:4x4", "gm", seed=1))
+        spec = Scenario.of("fib:7", "grid:4x4", "gm", seed=1)
+        local = Scenario.of("fib:9", "grid:4x4", _unspellable(), seed=1)
         plan = ExperimentPlan(
             "mixed",
             (local, spec),
-            lambda results, meta: [r.strategy for r in results],
+            lambda results, meta: [(r.strategy, r.workload) for r in results],
         )
-        assert execute(plan) == ["gm", "cwn"]
+        assert execute(plan) == [("cwn", "fib(9)"), ("gm", "fib(7)")]
 
-    def test_unspellable_strategy_degrades_to_local_run(self):
-        run = planned_run(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1, tie_break="lowest"), seed=1)
-        assert isinstance(run, LocalRun)
-        spelled = planned_run(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1), seed=1)
-        assert isinstance(spelled, RunSpec)
+    def test_unspellable_strategy_degrades_to_local_run(self, tmp_path):
+        plan = ExperimentPlan(
+            "objects",
+            (
+                Scenario.of(Fibonacci(7), Grid(4, 4), _unspellable(), seed=1),
+                Scenario.of(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1), seed=1),
+            ),
+            lambda results, meta: results,
+        )
+        cache = ResultCache(tmp_path)
+        seen = []
+        execute(plan, cache=cache, progress=lambda d, t, s: seen.append(s))
+        assert seen == ["sim", "local"]
+        assert Scenario.of("fib:7", "grid:4x4", "cwn:radius=3,horizon=1", seed=1) in cache
 
     def test_progress_reports_every_run(self, tmp_path):
         seen = []
         plan = ExperimentPlan(
             "progress",
             (
-                RunSpec("fib:7", "grid:4x4", "cwn", seed=1),
-                LocalRun(lambda: simulate("fib:7", "grid:4x4", "gm", seed=1)),
+                Scenario.of("fib:7", "grid:4x4", "cwn", seed=1),
+                Scenario.of("fib:7", "grid:4x4", _unspellable(), seed=1),
             ),
             lambda results, meta: results,
         )
@@ -95,8 +109,8 @@ class TestExecuteEngine:
         plan = ExperimentPlan(
             "telemetry",
             (
-                RunSpec("fib:7", "grid:4x4", "cwn", seed=1),
-                LocalRun(lambda: simulate("fib:7", "grid:4x4", "gm", seed=1)),
+                Scenario.of("fib:7", "grid:4x4", "cwn", seed=1),
+                Scenario.of("fib:7", "grid:4x4", _unspellable(), seed=1),
             ),
             lambda results, meta: results,
         )
@@ -112,7 +126,7 @@ class TestExecuteEngine:
         def sub(n):
             return ExperimentPlan(
                 f"sub{n}",
-                (RunSpec(f"fib:{n}", "grid:4x4", "cwn", seed=1),),
+                (Scenario.of(f"fib:{n}", "grid:4x4", "cwn", seed=1),),
                 lambda results, meta: results[0].workload,
             )
 
@@ -393,20 +407,20 @@ class TestGoldenQueryStream:
         assert [r.makespan for r in rerun] == [r[1] for r in reference]
 
     def test_open_system_specs_have_distinct_cache_keys(self):
-        closed = RunSpec("fib:9", "grid:4x4", "cwn", seed=1)
-        stream = RunSpec(
+        closed = Scenario.of("fib:9", "grid:4x4", "cwn", seed=1)
+        stream = Scenario.of(
             "fib:9", "grid:4x4", "cwn", seed=1,
             queries=3, arrival_spacing=50.0, arrival_pes=(0, 5, 10),
         )
-        assert closed.key() != stream.key()
+        assert closed.content_hash() != stream.content_hash()
         # Spacing is never read with one query (it arrives at t=0), so
         # it must not split the key ...
-        decorated = RunSpec("fib:9", "grid:4x4", "cwn", seed=1, arrival_spacing=99.0)
-        assert decorated.key() == closed.key()
+        decorated = Scenario.of("fib:9", "grid:4x4", "cwn", seed=1, arrival_spacing=99.0)
+        assert decorated.content_hash() == closed.content_hash()
         # ... but arrival_pes places even a single query, so it must.
-        moved = RunSpec("fib:9", "grid:4x4", "cwn", seed=1, arrival_pes=(7,))
-        assert moved.key() != closed.key()
-        assert RunSpec.from_json(stream.to_json()) == stream
+        moved = Scenario.of("fib:9", "grid:4x4", "cwn", seed=1, arrival_pes=(7,))
+        assert moved.content_hash() != closed.content_hash()
+        assert Scenario.from_dict(json.loads(stream.to_json())) == stream
 
     def test_single_query_stream_and_bad_counts(self):
         from repro.experiments.query_stream import run_stream

@@ -18,7 +18,6 @@ from repro.experiments.replication import (
     t95,
 )
 from repro.experiments.scaling import render_scaling, run_scaling
-from repro.parallel import RunSpec
 from repro.topology import Grid, make
 from repro.workload import Fibonacci
 
@@ -134,7 +133,8 @@ class TestLargeMachinePlan:
         plan = large_machine_plan(program=Fibonacci(11), full=False, seed=1)
         # reduced scale: 3 families x 1024 PEs x 3 strategies
         assert len(plan.runs) == 9
-        assert all(isinstance(run, RunSpec) for run in plan.runs)  # farmable
+        for run in plan.runs:
+            run.spelled()  # farmable: an unspellable run raises ValueError
         families = {meta[0] for meta in plan.meta}
         assert families == {"grid", "torus3d", "hypercube"}
         assert {meta[1] for meta in plan.meta} == {1024}

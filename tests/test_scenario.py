@@ -2,11 +2,10 @@
 
 Three contracts are load-bearing enough to pin exactly:
 
-* **hash stability** — content hashes for pre-Scenario runs must be
-  byte-identical to the ones the old ``RunSpec`` produced (the literal
-  digests below were captured from the PR-4 implementation), so warm
-  result caches keep hitting across the redesign;
-* **golden equivalence** — the legacy ``simulate(...)`` signature, the
+* **hash stability** — content hashes are pinned to literal digests
+  captured before ``Scenario`` existed, so warm result caches keep
+  hitting;
+* **golden equivalence** — the ``simulate(...)`` signature, the
   scenario object, and the spec grammar must all produce bit-identical
   results;
 * **round-tripping** — for every registered strategy/topology/workload,
@@ -16,16 +15,18 @@ Three contracts are load-bearing enough to pin exactly:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import CWN, STRATEGIES, make_strategy, spec_of as strategy_spec_of
 from repro.core import canonical_spec as canonical_strategy
-from repro.experiments.plan import LocalRun, planned_scenario
-from repro.experiments.runner import build_machine, simulate
+from repro.experiments.plan import ExperimentPlan, execute
+from repro.experiments.runner import simulate
 from repro.oracle.config import CostModel, SimConfig
 from repro.oracle.machine import Machine
-from repro.parallel import ResultCache, RunSpec, run_batch
+from repro.parallel import ResultCache, run_batch
 from repro.scenario import Arrivals, Scenario
 from repro.topology import (
     TOPOLOGIES,
@@ -52,9 +53,9 @@ def assert_results_equal(a, b):
     assert a.hop_histogram == b.hop_histogram
 
 
-#: (RunSpec kwargs, sha256) captured from the pre-Scenario implementation.
-#: These digests address real cache entries on users' disks — they must
-#: never change.
+#: (Scenario.of kwargs, sha256) captured before Scenario existed.  These
+#: digests address real cache entries on users' disks — they must never
+#: change.
 GOLDEN_KEYS = [
     (dict(workload="fib:15", topology="grid:10x10", strategy="cwn"),
      "8bdae2cc878ea8b0de0600d4567c8887b3d1627dfda5548c29ef085fa7dad4a1"),
@@ -88,26 +89,25 @@ class TestHashStability:
     @pytest.mark.parametrize("kwargs,expected", GOLDEN_KEYS,
                              ids=[k[0]["strategy"] + "-" + str(i) for i, k in enumerate(GOLDEN_KEYS)])
     def test_runspec_keys_unchanged(self, kwargs, expected):
-        assert RunSpec(**kwargs).key() == expected
+        assert Scenario.of(**kwargs).content_hash() == expected
 
     @pytest.mark.parametrize("kwargs,expected", GOLDEN_KEYS[:4],
                              ids=["sc0", "sc1", "sc2", "sc3"])
     def test_scenario_hash_is_the_runspec_key(self, kwargs, expected):
-        spec = RunSpec(**kwargs)
-        assert spec.scenario().content_hash() == expected
-        assert spec.canonical_dict() == spec.scenario().canonical_dict()
+        # The key survives the spec grammar and the serve wire form.
+        sc = Scenario.of(**kwargs)
+        assert Scenario.from_spec(sc.spec).content_hash() == expected
+        assert Scenario.from_dict(json.loads(sc.to_json())).content_hash() == expected
 
     def test_warm_cache_written_before_redesign_still_hits(self, tmp_path):
         """A result cached under the scenario's hash is found by every
         other spelling of the same run (the PR-4 warm-cache contract)."""
         cache = ResultCache(tmp_path)
         first = run_batch(
-            [RunSpec("fib:9", "grid:4x4", "cwn", seed=1)], cache=cache
+            [Scenario.of("fib:9", "grid:4x4", "cwn", seed=1)], cache=cache
         )
         assert (first.hits, first.simulated) == (0, 1)
-        respelled = RunSpec.from_scenario(
-            Scenario.from_spec("FIB:9 @ grid:4x4 / cwn:radius=9,horizon=2?seed=1")
-        )
+        respelled = Scenario.from_spec("FIB:9 @ grid:4x4 / cwn:radius=9,horizon=2?seed=1")
         again = run_batch([respelled], cache=cache)
         assert (again.hits, again.simulated) == (1, 0)
         assert_results_equal(first.results[0], again.results[0])
@@ -128,18 +128,9 @@ class TestGoldenEquivalence:
     def test_simulate_equals_scenario_run(self, case):
         legacy = simulate(**case)
         via_scenario = Scenario.of(**case).run()
-        via_spec = RunSpec.build(**case).run()
+        via_spec = Scenario.from_spec(Scenario.of(**case).spec).run()
         assert_results_equal(legacy, via_scenario)
         assert_results_equal(legacy, via_spec)
-
-    def test_build_machine_is_scenario_build(self):
-        machine = build_machine("fib:9", "grid:4x4", "cwn", queries=2,
-                                arrival_spacing=10.0)
-        twin = Scenario.of("fib:9", "grid:4x4", "cwn", queries=2,
-                           arrival_spacing=10.0).build()
-        assert machine.arrivals == twin.arrivals
-        assert machine.strategy.radius == twin.strategy.radius
-        assert machine.topology.n == twin.topology.n
 
     def test_from_spec_runs_identically(self):
         legacy = simulate("fib:10", "grid:4x4", "cwn", seed=2)
@@ -295,15 +286,20 @@ class TestScenarioObjects:
         sc = Scenario.of(Fibonacci(9), Grid(4, 4), CWN(radius=3, horizon=1, tie_break="lowest"))
         with pytest.raises(ValueError):
             sc.spelled()
-        run = planned_scenario(sc)
-        assert isinstance(run, LocalRun)
-        assert "Fibonacci" in run.label and "CWN" in run.label
-        assert run.thunk().result_value == 34
+        assert "Fibonacci" in sc.label() and "CWN" in sc.label()
+        sources = []
+        plan = ExperimentPlan("t", (sc,), lambda results, _meta: results[0])
+        result = execute(plan, progress=lambda _d, _t, source: sources.append(source))
+        assert sources == ["local"]
+        assert result.result_value == 34
 
-    def test_spellable_objects_become_runspecs(self):
-        run = planned_scenario(Scenario.of(Fibonacci(9), Grid(4, 4), "cwn", seed=1))
-        assert isinstance(run, RunSpec)
-        assert run.workload == "fib:9"
+    def test_spellable_objects_become_runspecs(self, tmp_path):
+        sc = Scenario.of(Fibonacci(9), Grid(4, 4), "cwn", seed=1)
+        assert sc.spelled().workload == "fib:9"
+        plan = ExperimentPlan("t", (sc,), lambda results, _meta: results[0])
+        cache = ResultCache(tmp_path)
+        execute(plan, cache=cache)
+        assert Scenario.of("fib:9", "grid:4x4", "cwn", seed=1) in cache
 
     def test_dict_round_trip_preserves_hash(self):
         sc = Scenario.of("fib:10", "grid:4x4", "cwn", seed=2, queries=2,
@@ -313,6 +309,9 @@ class TestScenarioObjects:
         assert again.content_hash() == sc.content_hash()
 
     def test_runspec_scenario_round_trip(self):
-        spec = RunSpec("fib:10", "grid:4x4", "cwn", seed=2, queries=2,
-                       arrival_spacing=30.0)
-        assert RunSpec.from_scenario(spec.scenario()) == spec
+        # The serve wire form: objects travel spelled, nothing canonicalized.
+        sc = Scenario.of(Fibonacci(10), Grid(4, 4), "cwn", seed=2, queries=2,
+                         arrival_spacing=30.0)
+        again = Scenario.from_dict(json.loads(sc.to_json()))
+        assert again == sc.spelled()
+        assert again.content_hash() == sc.content_hash()

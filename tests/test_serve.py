@@ -21,12 +21,13 @@ import json
 
 import pytest
 
-from repro.parallel import RunSpec, result_json
+from repro.parallel import result_json
 from repro.parallel.cache import ResultCache
 from repro.scenario import Scenario
 from repro.serve import (
     POLICY_NAMES,
     Busy,
+    ComputeError,
     ReplayRequest,
     ScenarioService,
     WorkerFleet,
@@ -179,7 +180,7 @@ class TestPolicies:
 
 class TestFleet:
     def test_runs_a_spec_and_matches_direct_run(self):
-        spec = RunSpec("fib:8", "grid:2x2", "cwn", seed=1)
+        spec = Scenario.of("fib:8", "grid:2x2", "cwn", seed=1)
         from repro.parallel.cache import result_to_dict
 
         with WorkerFleet(workers=1) as fleet:
@@ -190,7 +191,7 @@ class TestFleet:
         assert fleet.outstanding == [0]
 
     def test_failure_travels_home_as_data_and_worker_survives(self):
-        spec = RunSpec("fib:8", "grid:2x2", "cwn", seed=1)
+        spec = Scenario.of("fib:8", "grid:2x2", "cwn", seed=1)
         with WorkerFleet(workers=1) as fleet:
             fleet.submit(0, 1, "NOT VALID JSON")
             task_id, _worker, ok, payload = fleet.next_result(timeout=60)
@@ -222,6 +223,16 @@ def _service(tmp_path=None, **kw):
     return ScenarioService(
         fleet, make_policy(kw.pop("policy", "central"), fleet.workers), cache=cache, **kw
     )
+
+
+def _kill_worker(fleet, worker):
+    """SIGKILL one fleet worker and reap it, so ``alive()`` sees it dead."""
+    import os
+    import signal
+
+    proc = fleet._procs[worker]
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(timeout=10)
 
 
 class TestService:
@@ -367,6 +378,44 @@ class TestService:
         forward = keys_for(specs)
         backward = keys_for(list(reversed(specs)))
         assert forward == backward
+
+    def test_dead_worker_gets_no_new_work(self, tmp_path):
+        """A killed worker's zeroed backlog must not attract dispatches:
+        every request lands on the survivor instead of timing out on the
+        dead worker's orphaned queue."""
+        specs = [f"fib:{n} @ grid:2x2 / cwn?seed={seed}" for n in (6, 7) for seed in range(10)]
+
+        async def go():
+            service = _service(tmp_path, workers=2)
+            await service.start()
+            try:
+                _kill_worker(service.fleet, 0)
+                answers = []
+                for spec in specs:
+                    answers.append(await service.submit(spec))
+                return answers, service.stats
+            finally:
+                await service.stop()
+
+        answers, stats = asyncio.run(go())
+        assert [a.source for a in answers] == ["computed"] * len(specs)
+        assert stats.errors == 0
+
+    def test_no_live_worker_fails_fast(self, tmp_path):
+        async def go():
+            service = _service(tmp_path, workers=2)
+            await service.start()
+            try:
+                for worker in range(2):
+                    _kill_worker(service.fleet, worker)
+                with pytest.raises(ComputeError, match="fleet workers have died"):
+                    await asyncio.wait_for(service.submit(SPEC), timeout=5.0)
+                return service.stats
+            finally:
+                await service.stop()
+
+        stats = asyncio.run(go())
+        assert stats.dispatched == 0 and stats.errors == 1
 
     def test_validates_knobs(self):
         fleet = WorkerFleet(workers=1)

@@ -202,9 +202,10 @@ class TestInstrumentation:
         assert plain.samples == instrumented.samples
 
     def test_cache_emits_hits_and_misses(self, tmp_path):
-        from repro.parallel import ResultCache, RunSpec
+        from repro.parallel import ResultCache
+        from repro.scenario import Scenario
 
-        spec = RunSpec.build("fib:9", "grid:4x4", "cwn", seed=1)
+        spec = Scenario.of("fib:9", "grid:4x4", "cwn", seed=1)
         cache = ResultCache(tmp_path / "cache")
         with telemetry.capture() as sink:
             assert cache.get(spec) is None
@@ -215,12 +216,13 @@ class TestInstrumentation:
         assert cache_events == ["cache.miss", "cache.hit"]
 
     def test_batch_and_plan_events(self, tmp_path):
-        from repro.experiments.plan import ExperimentPlan, execute, planned_run
+        from repro.experiments.plan import ExperimentPlan, execute
         from repro.parallel import ResultCache
+        from repro.scenario import Scenario
 
         plan = ExperimentPlan(
             "obs-test",
-            tuple(planned_run("fib:9", "grid:4x4", "cwn", seed=s) for s in (1, 2)),
+            tuple(Scenario.of("fib:9", "grid:4x4", "cwn", seed=s) for s in (1, 2)),
             lambda results, _meta: list(results),
         )
         cache = ResultCache(tmp_path / "cache")
