@@ -11,6 +11,11 @@ at it from a thread pool, and then proves the service contract:
   at least one was answered from the warm cache (the second wave);
 * SIGTERM drains and exits 0 within the 60-second budget.
 
+A second pass drives the stdin front under load: 300 spec lines with
+64 kept in flight into ``repro serve --stdin``; every answer must be
+byte-identical to a direct run, and EOF must drain and exit 0 within
+the same budget.
+
 Run from the repo root: ``python scripts/serve_smoke.py``.
 """
 
@@ -24,6 +29,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHUTDOWN_BUDGET_S = 60.0
+STDIN_REQUESTS = 300
+STDIN_IN_FLIGHT = 64
 
 
 def fail(message: str) -> None:
@@ -147,7 +155,91 @@ def main() -> None:
         if code != 0:
             fail(f"serve exited {code} after SIGTERM")
         print(f"serve-smoke: SIGTERM drained cleanly in {drain_s:.1f}s")
-        print("serve-smoke: PASS")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+    stdin_pass(env)
+    print("serve-smoke: PASS")
+
+
+def stdin_pass(env: dict[str, str]) -> None:
+    """``repro serve --stdin`` with STDIN_IN_FLIGHT requests in flight."""
+    from repro.parallel import result_json
+    from repro.scenario import Scenario
+
+    env = dict(env, REPRO_CACHE_DIR=tempfile.mkdtemp(prefix="serve-smoke-stdin-"))
+    # 100 distinct small scenarios, each sent three times in a shuffled
+    # order: repeats coalesce or hit the cache, the rest fill batches.
+    distinct = [
+        f"fib:{n} @ grid:2x2 / {strat}?seed={s}"
+        for n in (7, 8)
+        for strat in ("cwn", "gm", "random", "central", "roundrobin")
+        for s in range(1, 11)
+    ]
+    stream = distinct * (STDIN_REQUESTS // len(distinct))
+    random.Random(7).shuffle(stream)
+    assert len(stream) == STDIN_REQUESTS
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--stdin", "--workers", "2"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    answers: list[dict] = []
+    arrived = threading.Condition()
+
+    def read() -> None:
+        assert proc.stdout is not None
+        for line in proc.stdout:
+            with arrived:
+                answers.append(json.loads(line))
+                arrived.notify_all()
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        assert proc.stdin is not None
+        start = time.perf_counter()
+        for sent, spec in enumerate(stream):
+            need = sent - STDIN_IN_FLIGHT + 1  # answers before this send
+            with arrived:
+                if not arrived.wait_for(lambda: len(answers) >= need, timeout=120):
+                    fail(f"stdin front stalled with {sent - len(answers)} in flight")
+            proc.stdin.write(spec + "\n")
+            proc.stdin.flush()
+        proc.stdin.close()  # EOF: drain and exit
+        try:
+            code = proc.wait(timeout=SHUTDOWN_BUDGET_S)
+        except subprocess.TimeoutExpired:
+            fail(f"stdin front did not exit within {SHUTDOWN_BUDGET_S:.0f}s of EOF")
+        reader.join(timeout=10)
+        wall_s = time.perf_counter() - start
+        if code != 0:
+            fail(f"serve --stdin exited {code} after EOF")
+        if len(answers) != len(stream):
+            fail(f"stdin front answered {len(answers)} of {len(stream)} requests")
+        direct = {
+            spec: result_json(Scenario.from_spec(spec).seeded().run())
+            for spec in distinct
+        }
+        for answer in answers:
+            if "result" not in answer:
+                fail(f"stdin front refused or failed a request: {answer}")
+            served = json.dumps(answer["result"], sort_keys=True, separators=(",", ":"))
+            if served != direct[answer["spec"]]:
+                fail(f"stdin answer for {answer['spec']!r} differs from direct run")
+        sources = [a["source"] for a in answers]
+        print(
+            f"serve-smoke: stdin — {len(answers)} answers with "
+            f"{STDIN_IN_FLIGHT} in flight in {wall_s:.1f}s, all byte-identical "
+            f"({sources.count('computed')} computed, "
+            f"{sources.count('coalesced')} coalesced, "
+            f"{sources.count('cache')} cache); EOF drained, exit 0"
+        )
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -321,9 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--high-water",
         type=int,
-        default=256,
+        default=None,
         metavar="N",
-        help="max admitted-but-unfinished computations before 429",
+        help="max admitted-but-unfinished computations before 429 "
+        "(default and ceiling: workers x queue-depth)",
     )
     serve.add_argument(
         "--queue-depth",

@@ -481,5 +481,6 @@ def canonical_spec(spec: str | Strategy, family: str = "grid") -> str:
     and ``canonical_spec(paper_cwn("grid"))`` all yield the same string,
     so the result cache treats them as one configuration.
     """
-    strategy = make_strategy(spec, family=family) if isinstance(spec, str) else spec
-    return spec_of(strategy)
+    if isinstance(spec, str):
+        return STRATEGIES.canonical(spec, family=family)
+    return spec_of(spec)

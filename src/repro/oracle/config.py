@@ -14,7 +14,7 @@ the conclusion calls for.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Mapping
 
 __all__ = ["CostModel", "SimConfig"]
@@ -159,8 +159,12 @@ class CostModel:
         return replace(self, word_time=word, hop_overhead=word)
 
     def to_dict(self) -> dict[str, float]:
-        """JSON-serializable form (the :mod:`repro.parallel` spec format)."""
-        return asdict(self)
+        """JSON-serializable form (the :mod:`repro.parallel` spec format).
+
+        Equal to ``dataclasses.asdict(self)``, without its recursive deep
+        copy: every field is a float.
+        """
+        return {name: getattr(self, name) for name in _COST_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict[str, float]) -> "CostModel":
@@ -271,7 +275,7 @@ class SimConfig:
         run specs and the on-disk result cache.  :meth:`from_dict` is the
         exact inverse (``from_dict(to_dict(c)) == c``).
         """
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in _CONFIG_FIELDS}
         data["costs"] = self.costs.to_dict()
         if self.pe_speeds is not None:
             data["pe_speeds"] = list(self.pe_speeds)
@@ -342,3 +346,8 @@ class SimConfig:
             if value != getattr(base_costs, f.name):
                 out[f"cost.{f.name}"] = _spell_value(value)
         return out
+
+
+#: field names in declaration order, for the per-request ``to_dict`` calls
+_COST_FIELDS = tuple(f.name for f in fields(CostModel))
+_CONFIG_FIELDS = tuple(f.name for f in fields(SimConfig))

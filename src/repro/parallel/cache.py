@@ -10,9 +10,11 @@ stay small).
 
 Design points:
 
-* **atomic writes** — entries are written to a temp file in the final
-  directory and ``os.replace``-d into place, so a crashed or concurrent
-  writer can never leave a half-written entry visible;
+* **atomic writes** — an entry is encoded once (one ``json.dumps``),
+  written with one ``write`` to a temp file in its shard directory and
+  ``os.replace``-d into place, so a crashed or concurrent writer can
+  never leave a half-written entry visible; a shard directory is
+  created only when it is missing (first use, or after :meth:`clear`);
 * **corruption recovery** — an unreadable, truncated, or mismatching
   entry is treated as a miss and deleted, never propagated;
 * **schema versioning** — both the directory layout and each payload
@@ -25,9 +27,9 @@ Design points:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -62,6 +64,9 @@ CACHE_SCHEMA = 3
 #: 256 SimResult payloads of typical Table-2 size are a few MB — small
 #: against the interpreter, large against any one run_batch working set.
 _MEMO_CAPACITY = 256
+
+#: temp-file serial numbers; with the pid they name each put's temp file
+_TEMP_SERIALS = itertools.count()
 
 
 def default_cache_dir() -> Path:
@@ -173,6 +178,21 @@ def result_from_dict(data: dict[str, Any]) -> SimResult:
 
 # -- the store -------------------------------------------------------------------
 
+def _create_temp(shard: str) -> tuple[int, str]:
+    """Create a new ``.tmp-<pid>-<serial>.json`` in ``shard`` (made if
+    missing); returns its descriptor and name."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    for _ in range(100):
+        name = f"{shard}/.tmp-{os.getpid()}-{next(_TEMP_SERIALS)}.json"
+        try:
+            return os.open(name, flags, 0o600), name
+        except FileExistsError:  # left by a dead writer with this pid
+            continue
+        except FileNotFoundError:  # a new shard, or clear() removed it
+            os.makedirs(shard, exist_ok=True)
+    raise FileExistsError(f"no free temp-file name in {shard}")
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """Snapshot of a cache directory plus this instance's hit counters."""
@@ -202,6 +222,12 @@ class ResultCache:
     ``hits`` / ``misses`` count this instance's lookups (a ``put``
     does not count), so an orchestrator can report hit rates and tests
     can assert "zero new simulations" on a warm cache.
+
+    :meth:`get` / :meth:`put` speak :class:`SimResult`; :meth:`get_dict`
+    / :meth:`put_dict` speak its :func:`result_to_dict` form, for
+    callers that hold results as dicts (``repro serve``).  Each pair is
+    one code path: ``get`` is ``get_dict`` plus revival, ``put`` is
+    ``put_dict`` after ``result_to_dict``.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -222,8 +248,11 @@ class ResultCache:
 
     def path_for(self, scenario: Scenario) -> Path:
         """Where ``scenario``'s result lives (whether or not it exists yet)."""
-        key = scenario.content_hash()
-        return self._version_dir / key[:2] / f"{key}.json"
+        return Path(self._path(scenario.content_hash()))
+
+    def _path(self, key: str) -> str:
+        # String arithmetic, not pathlib: this runs on every get and put.
+        return f"{os.fspath(self.root)}/v{CACHE_SCHEMA}/{key[:2]}/{key}.json"
 
     # -- lookup ------------------------------------------------------------------
 
@@ -234,8 +263,19 @@ class ResultCache:
         key mismatch, missing fields — deletes the entry and reports a
         miss; the cache never propagates corruption.
         """
-        path = self.path_for(scenario)
-        key = path.stem
+        return self._lookup(scenario, revive=True)
+
+    def get_dict(self, scenario: Scenario) -> dict[str, Any] | None:
+        """:meth:`get` without the revival: the stored result as its
+        :func:`result_to_dict` form, or ``None`` on miss.
+
+        The dict is the memo's own copy, shared across calls — read it,
+        never mutate it.  ``repro serve`` answers with it directly.
+        """
+        return self._lookup(scenario, revive=False)
+
+    def _lookup(self, scenario: Scenario, revive: bool) -> Any:
+        key = scenario.content_hash()
         tele = _telemetry.sink()
         memo = self._memo
         data = memo.get(key)
@@ -247,36 +287,41 @@ class ResultCache:
             self.hits += 1
             if tele is not None:
                 tele.emit("cache.hit", key=key[:12], memo=True)
-            return result_from_dict(data)
+            return result_from_dict(data) if revive else data
+        path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
+            with open(path, "rb") as handle:
+                payload = json.loads(handle.read())
             if payload["schema"] != CACHE_SCHEMA:
                 raise ValueError(f"schema {payload['schema']} != {CACHE_SCHEMA}")
             if payload["key"] != key:
                 raise ValueError("stored key does not match its address")
-            result = result_from_dict(payload["result"])
+            data = payload["result"]
+            # Revival is also the check that every field is present and
+            # well-typed, so a dict read pays it too.
+            result = result_from_dict(data)
         except FileNotFoundError:
             self.misses += 1
             if tele is not None:
-                tele.emit("cache.miss", key=path.stem[:12])
+                tele.emit("cache.miss", key=key[:12])
             return None
         except Exception:
             # Corrupt entry: recover by dropping it (best-effort — on a
             # read-only cache the entry stays, but it is still a miss,
             # never a crash).
             try:
-                path.unlink(missing_ok=True)
+                os.unlink(path)
             except OSError:
                 pass
             self.misses += 1
             if tele is not None:
-                tele.emit("cache.miss", key=path.stem[:12], corrupt=True)
+                tele.emit("cache.miss", key=key[:12], corrupt=True)
             return None
-        self._memoize(key, payload["result"])
+        self._memoize(key, data)
         self.hits += 1
         if tele is not None:
             tele.emit("cache.hit", key=key[:12])
-        return result
+        return result if revive else data
 
     def _memoize(self, key: str, data: dict[str, Any]) -> None:
         # The memo shares the payload dict across get() calls; revival
@@ -297,20 +342,36 @@ class ResultCache:
 
     def put(self, scenario: Scenario, result: SimResult) -> Path:
         """Store ``result`` under ``scenario``'s content address (atomic)."""
-        path = self.path_for(scenario)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "key": path.stem,
-            "spec": scenario.canonical_dict(),
-            "result": result_to_dict(result),
-        }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
+        self.put_dict(scenario, result_to_dict(result))
+        return self.path_for(scenario)
+
+    def put_dict(self, scenario: Scenario, data: dict[str, Any]) -> None:
+        """:meth:`put` of a result already in :func:`result_to_dict` form.
+
+        The entry is encoded once (the C encoder, one string) and written
+        with one ``write`` to a temp file in its shard directory, then
+        ``os.replace``-d into place, so no reader ever sees a partial
+        entry.  The temp file is named by pid and serial number and
+        created exclusively; a name left by a dead writer with the same
+        pid is skipped.  The shard directory is only created when the
+        temp file cannot be: after the first put into a shard, or after
+        :meth:`clear` (or another process) removed it.
+        """
+        key = scenario.content_hash()
+        path = self._path(key)
+        shard = os.path.dirname(path)
+        text = json.dumps(
+            {
+                "schema": CACHE_SCHEMA,
+                "key": key,
+                "spec": scenario.canonical_dict(),
+                "result": data,
+            }
         )
+        fd, tmp_name = _create_temp(shard)
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+            with open(fd, "wb") as handle:
+                handle.write(text.encode("utf-8"))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -322,7 +383,6 @@ class ResultCache:
         # from disk (validating what was actually persisted — the
         # corruption-recovery tests rely on disk staying authoritative);
         # it populates the memo for every lookup after.
-        return path
 
     # -- maintenance -------------------------------------------------------------
 

@@ -39,9 +39,15 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Hashable, Mapping, TypeVar
 
 __all__ = ["Entry", "Registry"]
+
+T = TypeVar("T")
+
+#: derived facts (canonical spellings, a topology's family) one registry
+#: remembers; past this the oldest is forgotten
+_MEMO_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,7 @@ class Registry:
         self.entry_point_group = entry_point_group
         self._entries: dict[str, Entry] = {}
         self._discovered = entry_point_group is None
+        self._memo: dict[Hashable, Any] = {}
 
     # -- registration ------------------------------------------------------------
 
@@ -119,11 +126,13 @@ class Registry:
             )
         entry = Entry(key, builder, cls=cls, spell=spell, metadata=metadata or {})
         self._entries[key] = entry
+        self._memo.clear()
         return entry
 
     def remove(self, name: str) -> None:
         """Unregister ``name`` (mainly for tests and plugin teardown)."""
         del self._entries[name.strip().lower()]
+        self._memo.clear()
 
     # -- lookup ------------------------------------------------------------------
 
@@ -174,6 +183,33 @@ class Registry:
             return found.builder(rest, **context)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed {self.kind_label} spec {spec!r}: {exc}") from exc
+
+    def canonical(self, spec: str, **context: Any) -> str:
+        """``spec_of(make(spec, **context))``: the canonical spelling of
+        ``spec``, remembered (see :meth:`memo`).  A service sees the same
+        few spellings on every request; only the first one builds."""
+        key = ("canonical", spec, *sorted(context.items()))
+        return self.memo(key, lambda: self.spec_of(self.make(spec, **context)))
+
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, remembered under ``key`` while the vocabulary
+        stands.
+
+        For facts that are pure functions of a spec string and of the
+        registered entries.  The memo is bounded, :meth:`add` and
+        :meth:`remove` empty it, and a ``compute()`` that raises is not
+        remembered, so an unknown name raises on every call.
+        """
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = compute()
+        if len(memo) >= _MEMO_CAPACITY:
+            memo.pop(next(iter(memo)), None)
+        memo[key] = value
+        return value
 
     def spec_of(self, obj: Any) -> str:
         """The canonical spec string that rebuilds ``obj`` (by exact type).

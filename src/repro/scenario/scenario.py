@@ -228,32 +228,43 @@ class Scenario:
         strategy against the topology's family, so bare ``"cwn"``
         resolves to the same explicit parameters :meth:`build` gives
         it), the seed override is folded into the config, and the
-        arrival block is canonicalized.
+        arrival block is canonicalized.  The registries remember each
+        spelling's canonical form, so only a spelling never seen before
+        builds anything.
         """
-        from ..core import canonical_spec as canonical_strategy
-        from ..topology import canonical_spec as canonical_topology, make as make_topology
-        from ..workload import canonical_spec as canonical_workload
-
-        spelled = self.spelled()
-        topology = canonical_topology(spelled.topology)
-        family = make_topology(topology).family
+        workload, topology, strategy = self._canonical_parts()
         return replace(
-            spelled,
-            workload=canonical_workload(spelled.workload),
+            self,
+            workload=workload,
             topology=topology,
-            strategy=canonical_strategy(spelled.strategy, family=family),
+            strategy=strategy,
             config=self.effective_config,
             seed=None,
             arrivals=self.arrivals.canonical(),
         )
 
+    def _canonical_parts(self) -> tuple[str, str, str]:
+        """The canonical workload, topology and strategy spellings."""
+        from ..core import canonical_spec as canonical_strategy
+        from ..topology import canonical_form as canonical_topology
+        from ..workload import canonical_spec as canonical_workload
+
+        spelled = self.spelled()
+        topology, family = canonical_topology(spelled.topology)
+        return (
+            canonical_workload(spelled.workload),
+            topology,
+            canonical_strategy(spelled.strategy, family=family),
+        )
+
     def canonical_dict(self) -> dict[str, Any]:
         """Canonical JSON-able form — the preimage of :meth:`content_hash`.
 
-        Canonicalization re-parses every spec string (it even builds the
-        topology to resolve the strategy family), so the result is
-        memoized on the instance — the cache consults it several times
-        per run, and the fields it derives from are frozen.
+        The fields of :meth:`canonical`, read off without building that
+        scenario or its config: every request a service answers hashes
+        a new instance.  Memoized on the instance — the cache consults
+        it several times per run, and the fields it derives from are
+        frozen.
 
         Default arrivals are omitted entirely, so a closed-system run
         hashes exactly as it did before the arrival block existed — and
@@ -261,17 +272,21 @@ class Scenario:
         """
         cached = self.__dict__.get("_canonical_dict")
         if cached is None:
-            spec = self.canonical()
+            workload, topology, strategy = self._canonical_parts()
+            config = self.config.to_dict()
+            if self.seed is not None:
+                config["seed"] = self.seed  # the fold effective_config makes
+            arrivals = self.arrivals.canonical()
             cached = {
                 "schema": SPEC_SCHEMA,
-                "workload": spec.workload,
-                "topology": spec.topology,
-                "strategy": spec.strategy,
-                "config": spec.config.to_dict(),
-                "start_pe": spec.start_pe,
+                "workload": workload,
+                "topology": topology,
+                "strategy": strategy,
+                "config": config,
+                "start_pe": self.start_pe,
             }
-            if not spec.arrivals.is_default:
-                cached["arrivals"] = spec.arrivals.to_dict()
+            if not arrivals.is_default:
+                cached["arrivals"] = arrivals.to_dict()
             object.__setattr__(self, "_canonical_dict", cached)
         return cached
 

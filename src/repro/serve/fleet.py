@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import queue as queue_mod
+import threading
 import traceback
 from typing import Any
 
@@ -94,6 +95,9 @@ class WorkerFleet:
         self._results: Any = None
         self._procs: list[Any] = []
         self.outstanding: list[int] = [0] * workers
+        # submit() runs on the service's loop and next_result() on its
+        # result reader thread: both update outstanding under this lock.
+        self._count_lock = threading.Lock()
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -154,14 +158,22 @@ class WorkerFleet:
         """Queue one task on ``worker``; :class:`queue.Full` = backpressure."""
         if not self._started:
             raise RuntimeError("fleet not started")
-        self._tasks[worker].put_nowait((task_id, scenario_json))
-        self.outstanding[worker] += 1
+        # Counted before the put: the result may be read before put
+        # returns, and its decrement must find the task counted.
+        with self._count_lock:
+            self.outstanding[worker] += 1
+        try:
+            self._tasks[worker].put_nowait((task_id, scenario_json))
+        except queue_mod.Full:
+            with self._count_lock:
+                self.outstanding[worker] -= 1
+            raise
 
     def next_result(self, timeout: float | None = None) -> FleetResult | None:
         """The next completed task from any worker, or ``None`` on timeout.
 
-        Blocking — the service pumps this from an executor thread, never
-        from the event loop itself.
+        Blocking — the service calls this from its result reader thread,
+        never from the event loop itself.
         """
         if not self._started:
             raise RuntimeError("fleet not started")
@@ -169,8 +181,9 @@ class WorkerFleet:
             task_id, worker, ok, payload = self._results.get(timeout=timeout)
         except queue_mod.Empty:
             return None
-        if self.outstanding[worker] > 0:
-            self.outstanding[worker] -= 1
+        with self._count_lock:
+            if self.outstanding[worker] > 0:
+                self.outstanding[worker] -= 1
         return task_id, worker, ok, payload
 
     @property
@@ -185,8 +198,9 @@ class WorkerFleet:
         not know task ids once they are on a queue).
         """
         dead = [i for i, ok in enumerate(self.alive()) if not ok]
-        for i in dead:
-            self.outstanding[i] = 0
+        with self._count_lock:
+            for i in dead:
+                self.outstanding[i] = 0
         return dead
 
     # -- context manager sugar ---------------------------------------------------

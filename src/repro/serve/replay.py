@@ -106,16 +106,18 @@ async def _replay_policy(
     seed: int,
     speed: float,
 ) -> ReplayStats:
-    fleet = WorkerFleet(workers=workers)
+    # Replay measures dispatch quality, not admission control: the
+    # fleet's capacity (the default high water) holds the whole stream,
+    # so nothing is ever 429'd.
+    fleet = WorkerFleet(
+        workers=workers, queue_depth=max(64, -(-len(requests) // workers))
+    )
     service = ScenarioService(
         fleet,
         make_policy(policy_name, workers, seed=seed),
         cache=None if cache_root is None else ResultCache(cache_root),
         window=window,
         max_batch=max_batch,
-        # Replay measures dispatch quality, not admission control: the
-        # whole stream must be admitted, never 429'd.
-        high_water=max(256, len(requests) + 1),
     )
     await service.start()
     latencies_ms: list[float] = []

@@ -181,12 +181,16 @@ def build_server(
     policy: str = "central",
     window: float = 0.01,
     max_batch: int = 16,
-    high_water: int = 256,
+    high_water: int | None = None,
     queue_depth: int = 64,
     no_cache: bool = False,
     seed: int = 1,
 ) -> ServeServer:
-    """Wire fleet + policy + cache + service + listener from knob values."""
+    """Wire fleet + policy + cache + service + listener from knob values.
+
+    ``high_water=None`` admits up to the fleet's capacity,
+    ``workers × queue_depth``.
+    """
     fleet = WorkerFleet(workers=workers, queue_depth=queue_depth)
     service = ScenarioService(
         fleet,
@@ -244,28 +248,9 @@ async def _serve_stdin_async(
     await server.service.start()
     await _install_signal_handlers(server)
     loop = asyncio.get_running_loop()
-
-    # A daemon reader thread feeds lines into the loop: stdin has no
-    # async interface, and a thread blocked in readline() must not be
-    # able to wedge a signal-triggered shutdown (daemon = it cannot).
-    incoming: "asyncio.Queue[str | None]" = asyncio.Queue()
-
-    def _pump_lines() -> None:
-        try:
-            for line in lines:
-                loop.call_soon_threadsafe(incoming.put_nowait, line)
-        except (ValueError, OSError):  # pragma: no cover - closed stream
-            pass
-        try:
-            loop.call_soon_threadsafe(incoming.put_nowait, None)
-        except RuntimeError:  # pragma: no cover - loop already gone
-            pass
-
-    threading.Thread(
-        target=_pump_lines, name="repro-serve-stdin", daemon=True
-    ).start()
-
     pending: set["asyncio.Task[None]"] = set()
+    eof = asyncio.Event()
+    reading = True
 
     async def _answer(spec: str) -> None:
         try:
@@ -279,31 +264,50 @@ async def _serve_stdin_async(
             payload = error_body(str(exc), status="busy")
         except ComputeError as exc:
             payload = error_body(str(exc))
-        print(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")),
-            file=out,
-            flush=True,
-        )
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        out.flush()
 
-    shutdown = asyncio.ensure_future(server._shutdown.wait())
-    while True:
-        getter: "asyncio.Task[str | None]" = asyncio.ensure_future(incoming.get())
-        done, _ = await asyncio.wait(
-            {getter, shutdown}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if getter not in done:
-            getter.cancel()
-            break  # signal-triggered drain
-        line = getter.result()
+    def _on_line(line: str | None) -> None:
+        # Runs on the loop: each spec line starts its answer at once.
         if line is None:
-            break  # EOF drain
+            eof.set()
+            return
         spec = line.strip()
-        if not spec or spec.startswith("#"):
-            continue
-        task = asyncio.ensure_future(_answer(spec))
+        if not reading or not spec or spec.startswith("#"):
+            return
+        task = loop.create_task(_answer(spec))
         pending.add(task)
         task.add_done_callback(pending.discard)
-    shutdown.cancel()
+
+    # A daemon reader thread feeds lines into the loop: stdin has no
+    # async interface, and a thread blocked in readline() must not be
+    # able to wedge a signal-triggered shutdown (daemon = it cannot).
+    def _read_lines() -> None:
+        try:
+            for line in lines:
+                loop.call_soon_threadsafe(_on_line, line)
+        except (ValueError, OSError):  # pragma: no cover - closed stream
+            pass
+        except RuntimeError:  # pragma: no cover - loop already gone
+            return
+        try:
+            loop.call_soon_threadsafe(_on_line, None)
+        except RuntimeError:  # pragma: no cover - loop already gone
+            pass
+
+    threading.Thread(
+        target=_read_lines, name="repro-serve-stdin", daemon=True
+    ).start()
+
+    # EOF or a signal ends the reading; everything started drains.
+    waiters = {
+        asyncio.ensure_future(eof.wait()),
+        asyncio.ensure_future(server._shutdown.wait()),
+    }
+    await asyncio.wait(waiters, return_when=asyncio.FIRST_COMPLETED)
+    for waiter in waiters:
+        waiter.cancel()
+    reading = False
     if pending:
         await asyncio.wait(pending)
     await server.service.stop()

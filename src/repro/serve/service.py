@@ -16,9 +16,16 @@ increasing cost:
    the persistent worker fleet, each placement chosen by the pluggable
    :class:`~repro.serve.policy.ServePolicy`.
 
-Backpressure is explicit: past ``high_water`` admitted-but-unfinished
-computations the service answers *busy* (HTTP 429) instead of queueing
-unboundedly, and each fleet worker's task queue is itself bounded.
+Backpressure is explicit and has one bound: past ``high_water``
+admitted-but-unfinished computations the service answers *busy* (HTTP
+429) instead of queueing unboundedly.  ``high_water`` defaults to, and
+may not exceed, the fleet's capacity (``workers × queue_depth``), so
+the fleet's bounded worker queues never refuse what admission let in
+while every worker is alive.
+
+Completions come home through one daemon reader thread that blocks on
+the fleet's result queue and hands each result to the event loop; the
+loop itself never blocks.
 
 Everything emits ``serve.*`` telemetry (request, coalesce, batch,
 dispatch, complete, busy) under the repo's sink-guard convention, so
@@ -29,12 +36,13 @@ from __future__ import annotations
 
 import asyncio
 import queue as queue_mod
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..obs import telemetry as _telemetry
-from ..parallel.cache import ResultCache, result_from_dict, result_to_dict
+from ..parallel.cache import ResultCache
 from ..scenario import Scenario
 from .fleet import WorkerFleet
 from .policy import ServePolicy
@@ -112,14 +120,23 @@ class ScenarioService:
         cache: ResultCache | None = None,
         window: float = 0.01,
         max_batch: int = 16,
-        high_water: int = 256,
+        high_water: int | None = None,
     ) -> None:
         if window < 0:
             raise ValueError(f"window must be >= 0 seconds (got {window})")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1 (got {max_batch})")
+        capacity = fleet.workers * fleet.queue_depth
+        if high_water is None:
+            high_water = capacity
         if high_water < 1:
             raise ValueError(f"high_water must be >= 1 (got {high_water})")
+        if high_water > capacity:
+            raise ValueError(
+                f"high_water {high_water} exceeds the fleet's capacity "
+                f"({fleet.workers} workers x queue_depth {fleet.queue_depth} "
+                f"= {capacity}); past it the fleet, not admission, would refuse"
+            )
         self.fleet = fleet
         self.policy = policy
         self.cache = cache
@@ -133,11 +150,13 @@ class ScenarioService:
         self._next_task_id = 0
         self._accepting = False
         self._loops: list["asyncio.Task[None]"] = []
+        self._pump: threading.Thread | None = None
+        self._pump_stop = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the fleet (once) and the batch/pump loops."""
+        """Spawn the fleet (once), the batch loop and the result pump."""
         if self._accepting:
             return
         loop = asyncio.get_running_loop()
@@ -150,10 +169,15 @@ class ScenarioService:
             tele.emit(
                 "serve.start", workers=self.fleet.workers, policy=self.policy.name
             )
-        self._loops = [
-            asyncio.ensure_future(self._batch_loop()),
-            asyncio.ensure_future(self._pump_loop()),
-        ]
+        self._loops = [asyncio.ensure_future(self._batch_loop())]
+        self._pump_stop = threading.Event()
+        self._pump = threading.Thread(
+            target=self._pump_results,
+            args=(loop, self._pump_stop),
+            name="repro-serve-results",
+            daemon=True,
+        )
+        self._pump.start()
 
     async def drain(self, timeout: float | None = None) -> bool:
         """Wait for every admitted computation to finish; True when empty."""
@@ -175,7 +199,16 @@ class ScenarioService:
                 pass
         self._loops = []
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.fleet.stop)
+        await loop.run_in_executor(None, self._stop_pump_and_fleet)
+
+    def _stop_pump_and_fleet(self) -> None:
+        # The pump first: it must not be blocked on a result queue the
+        # fleet is closing.  Its wait is 0.2 s, so the join is bounded.
+        self._pump_stop.set()
+        if self._pump is not None:
+            self._pump.join(timeout=5.0)
+            self._pump = None
+        self.fleet.stop()
 
     @property
     def accepting(self) -> bool:
@@ -211,14 +244,12 @@ class ScenarioService:
             )
 
         if self.cache is not None:
-            cached = self.cache.get(scenario)
+            cached = self.cache.get_dict(scenario)
             if cached is not None:
                 self.stats.cache_hits += 1
                 if tele is not None:
                     tele.emit("serve.request", key=key[:12], source="cache")
-                return Submitted(
-                    spec_text, key, "cache", result_to_dict(cached), _ms_since(start)
-                )
+                return Submitted(spec_text, key, "cache", cached, _ms_since(start))
 
         if not self._accepting:
             self.stats.rejected += 1
@@ -246,17 +277,23 @@ class ScenarioService:
 
     async def _batch_loop(self) -> None:
         loop = asyncio.get_running_loop()
+        admission = self._admission
         while True:
-            keys = [await self._admission.get()]
+            keys = [await admission.get()]
             deadline = loop.time() + self.window
             while len(keys) < self.max_batch:
+                # Keys already queued cost nothing to take; only an
+                # empty queue is worth a timed wait.
+                try:
+                    keys.append(admission.get_nowait())
+                    continue
+                except asyncio.QueueEmpty:
+                    pass
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break
                 try:
-                    keys.append(
-                        await asyncio.wait_for(self._admission.get(), remaining)
-                    )
+                    keys.append(await asyncio.wait_for(admission.get(), remaining))
                 except asyncio.TimeoutError:
                     break
             self._dispatch_batch(keys)
@@ -272,13 +309,16 @@ class ScenarioService:
             tele.emit(
                 "serve.batch", size=len(batch), queued=self._admission.qsize()
             )
-        for entry in batch:
-            self._dispatch_one(entry, tele)
-
-    def _dispatch_one(self, entry: _Entry, tele: Any) -> None:
-        fleet = self.fleet
-        alive = fleet.alive()
+        # One liveness probe (a waitpid per worker) serves the batch.
+        alive = self.fleet.alive()
         live = [i for i, ok in enumerate(alive) if ok]
+        for entry in batch:
+            self._dispatch_one(entry, alive, live, tele)
+
+    def _dispatch_one(
+        self, entry: _Entry, alive: list[bool], live: list[int], tele: Any
+    ) -> None:
+        fleet = self.fleet
         if not live:
             self.stats.errors += 1
             self._fail(
@@ -329,20 +369,32 @@ class ScenarioService:
 
     # -- completions -------------------------------------------------------------
 
-    async def _pump_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await loop.run_in_executor(None, self.fleet.next_result, 0.2)
-            if item is None:
-                if self._by_task:
-                    self._fail_dead_workers()
-                continue
-            task_id, worker, ok, payload = item
-            self.policy.completed(worker)
-            entry = self._by_task.pop(task_id, None)
-            if entry is None:  # pragma: no cover - defensive
-                continue
-            self._complete(entry, worker, ok, payload)
+    def _pump_results(
+        self, loop: asyncio.AbstractEventLoop, stop: threading.Event
+    ) -> None:
+        """The reader thread: block on the fleet's result queue and hand
+        every result — and every idle 0.2 s wait, as ``None`` — to the
+        loop.  Ends when :meth:`stop` signals it, or when the loop is
+        gone (nobody is left to answer)."""
+        next_result = self.fleet.next_result
+        while not stop.is_set():
+            item = next_result(0.2)
+            try:
+                loop.call_soon_threadsafe(self._on_result, item)
+            except RuntimeError:  # the loop is closed
+                return
+
+    def _on_result(self, item: Any) -> None:
+        if item is None:
+            if self._by_task:
+                self._fail_dead_workers()
+            return
+        task_id, worker, ok, payload = item
+        self.policy.completed(worker)
+        entry = self._by_task.pop(task_id, None)
+        if entry is None:  # pragma: no cover - defensive
+            return
+        self._complete(entry, worker, ok, payload)
 
     def _complete(self, entry: _Entry, worker: int, ok: bool, payload: Any) -> None:
         tele = _telemetry.sink()
@@ -350,9 +402,9 @@ class ScenarioService:
         wall_ms = _ms_since(entry.admitted)
         if ok:
             if self.cache is not None:
-                # put() is atomic; a concurrent serve process racing on
-                # the same key writes identical bytes.
-                self.cache.put(entry.scenario, result_from_dict(payload))
+                # put_dict() is atomic; a concurrent serve process racing
+                # on the same key writes identical bytes.
+                self.cache.put_dict(entry.scenario, payload)
             if tele is not None:
                 tele.emit(
                     "serve.complete",

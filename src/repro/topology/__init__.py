@@ -35,6 +35,7 @@ __all__ = [
     "TOPOLOGIES",
     "Topology",
     "Torus3D",
+    "canonical_form",
     "canonical_spec",
     "make",
     "paper_dlm",
@@ -232,5 +233,21 @@ def spec_of(topology: Topology) -> str:
 
 def canonical_spec(spec: str | Topology) -> str:
     """Normalize a topology spec (or object) to its canonical spelling."""
-    topology = make(spec) if isinstance(spec, str) else spec
-    return spec_of(topology)
+    if isinstance(spec, str):
+        return canonical_form(spec)[0]
+    return spec_of(spec)
+
+
+def canonical_form(spec: str) -> tuple[str, str]:
+    """``(canonical spelling, family)`` of a topology spec string.
+
+    One build answers both, and :data:`TOPOLOGIES` remembers the pair
+    (see :meth:`~repro.scenario.Registry.memo`): canonicalizing a
+    scenario needs the family to resolve its strategy's parameters.
+    """
+
+    def build() -> tuple[str, str]:
+        topology = make(spec)
+        return spec_of(topology), topology.family
+
+    return TOPOLOGIES.memo(("form", spec), build)

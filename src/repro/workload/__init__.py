@@ -241,5 +241,6 @@ def canonical_spec(spec: str | Program) -> str:
     the content-addressed result cache keys on this, so spelling
     variants of the same workload share cache entries.
     """
-    program = make(spec) if isinstance(spec, str) else spec
-    return spec_of(program)
+    if isinstance(spec, str):
+        return WORKLOADS.canonical(spec)
+    return spec_of(spec)

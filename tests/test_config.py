@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.oracle.config import CostModel, SimConfig
@@ -76,3 +78,35 @@ class TestSimConfig:
     def test_negative_sample_interval_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(sample_interval=-5)
+
+
+class TestToDict:
+    """``to_dict`` builds its dict from field names instead of calling
+    ``dataclasses.asdict``; the output — key order included, since the
+    cache files and hashes are built from it — must be what ``asdict``
+    gave, with ``pe_speeds`` as a list."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(),
+            SimConfig(
+                costs=CostModel(leaf_work=7.5, word_time=2.0),
+                seed=3,
+                pe_speeds=(1.0, 2.0, 0.5, 1.0),
+                max_events=None,
+                queue_discipline="lifo",
+            ),
+        ],
+        ids=["defaults", "overrides"],
+    )
+    def test_matches_asdict(self, cfg):
+        expected = asdict(cfg)
+        if expected["pe_speeds"] is not None:
+            expected["pe_speeds"] = list(expected["pe_speeds"])
+        got = cfg.to_dict()
+        assert got == expected
+        assert list(got) == list(expected)
+        assert list(got["costs"]) == list(expected["costs"])
+        assert cfg.costs.to_dict() == asdict(cfg.costs)
+        assert SimConfig.from_dict(got) == cfg

@@ -45,6 +45,10 @@ def assert_results_equal(a, b):
     assert a.events_executed == b.events_executed
 
 
+def _json(value):
+    return json.dumps(value, sort_keys=True)
+
+
 # -- scenario keys ---------------------------------------------------------------
 
 class TestRunSpec:
@@ -174,6 +178,58 @@ class TestResultCache:
         # clear() drops the memo along with the entries.
         cache.clear()
         assert cache.get(spec) is None
+
+    def test_stored_entry_is_the_documented_payload(self, tmp_path):
+        """Both write paths store exactly schema, key, canonical spec and
+        the result dict — the entry's format does not depend on which
+        path wrote it."""
+        from repro.parallel.cache import CACHE_SCHEMA
+
+        cache = ResultCache(tmp_path)
+        by_result = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
+        by_dict = Scenario.of("fib:9", "grid:5x5", "gm", seed=1)
+        for spec, write in (
+            (by_result, lambda sc, r: cache.put(sc, r)),
+            (by_dict, lambda sc, r: cache.put_dict(sc, result_to_dict(r))),
+        ):
+            result = spec.run()
+            write(spec, result)
+            stored = json.loads(cache.path_for(spec).read_text())
+            expected = {
+                "schema": CACHE_SCHEMA,
+                "key": spec.content_hash(),
+                "spec": spec.canonical_dict(),
+                "result": result_to_dict(result),
+            }
+            # compared as sorted JSON: first_goal_time holds NaNs, which
+            # never compare equal as floats
+            assert _json(stored) == _json(expected)
+            assert _json(cache.get_dict(spec)) == _json(result_to_dict(result))
+            assert_results_equal(cache.get(spec), result)
+
+    def test_get_dict_shares_the_memo_copy(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
+        assert cache.get_dict(spec) is None
+        cache.put(spec, spec.run())
+        first = cache.get_dict(spec)  # disk read, validated by revival
+        assert first is cache.get_dict(spec)
+        assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_put_after_clear_recreates_the_shard(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = Scenario.of("fib:9", "grid:5x5", "cwn", seed=1)
+        result = spec.run()
+        cache.put(spec, result)
+        shard = cache.path_for(spec).parent
+        assert cache.clear() == 1
+        assert not shard.exists(), "clear() removes emptied shard directories"
+        cache.put(spec, result)
+        assert_results_equal(cache.get(spec), result)
+        # and through the dict path, after the shard vanished again
+        cache.clear()
+        cache.put_dict(spec, result_to_dict(result))
+        assert ResultCache(tmp_path).get(spec) is not None
 
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from repro.core import STRATEGIES, KeepLocal, make_strategy
 from repro.experiments.runner import simulate
 from repro.scenario import Registry, Scenario
-from repro.topology import TOPOLOGIES, make as make_topology
+from repro.topology import TOPOLOGIES, Grid, make as make_topology
 from repro.workload import WORKLOADS, make as make_workload
 
 
@@ -153,3 +153,90 @@ class TestPluginRegistration:
         reg = Registry("strategy", entry_point_group="test.group")
         reg.add("ok", lambda rest: "ok")
         assert reg.names() == ("ok",)
+
+
+class _MemoGrid(Grid):
+    """A 'third-party' topology for the memo-invalidation tests."""
+
+
+class TestCanonicalMemo:
+    """The registries remember canonical spellings; the memo must never
+    outlive the vocabulary it was computed from."""
+
+    def test_re_registered_strategy_changes_the_hash(self):
+        def register(spelling):
+            STRATEGIES.add(
+                "memostrat",
+                lambda rest, family="grid": _EagerLocal(),
+                cls=_EagerLocal,
+                spell=lambda s: spelling,
+            )
+
+        spec = "fib:5 @ grid:2x2 / memostrat?seed=1"
+        register("memostrat:v=1")
+        try:
+            first = Scenario.from_spec(spec)
+            assert first.canonical_dict()["strategy"] == "memostrat:v=1"
+        finally:
+            STRATEGIES.remove("memostrat")
+        register("memostrat:v=2")
+        try:
+            second = Scenario.from_spec(spec)
+            assert second.canonical_dict()["strategy"] == "memostrat:v=2"
+            assert second.content_hash() != first.content_hash()
+        finally:
+            STRATEGIES.remove("memostrat")
+
+    def test_re_registered_topology_changes_the_hash(self):
+        def register(spelling):
+            TOPOLOGIES.add(
+                "memotopo",
+                lambda rest: _MemoGrid(2, 2),
+                cls=_MemoGrid,
+                spell=lambda t: spelling,
+            )
+
+        spec = "fib:5 @ memotopo / cwn?seed=1"
+        register("memotopo:a")
+        try:
+            first = Scenario.from_spec(spec)
+            assert first.canonical_dict()["topology"] == "memotopo:a"
+        finally:
+            TOPOLOGIES.remove("memotopo")
+        register("memotopo:b")
+        try:
+            second = Scenario.from_spec(spec)
+            assert second.canonical_dict()["topology"] == "memotopo:b"
+            assert second.content_hash() != first.content_hash()
+        finally:
+            TOPOLOGIES.remove("memotopo")
+
+    def test_unknown_names_raise_on_every_call(self):
+        for spec in (
+            "fib:5 @ grid:2x2 / latestrat",
+            "fib:5 @ latetopo:2 / cwn",
+            "latework:5 @ grid:2x2 / cwn",
+        ):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="unknown"):
+                    Scenario.from_spec(spec).content_hash()
+        # The failures were not remembered: registering the name later
+        # makes the same spelling canonicalize.
+        STRATEGIES.add("latestrat", lambda rest, family="grid": _EagerLocal(),
+                       cls=_EagerLocal, spell=lambda s: "latestrat")
+        try:
+            sc = Scenario.from_spec("fib:5 @ grid:2x2 / latestrat")
+            assert sc.canonical_dict()["strategy"] == "latestrat"
+        finally:
+            STRATEGIES.remove("latestrat")
+
+    def test_memo_is_bounded(self):
+        from repro.scenario.registry import _MEMO_CAPACITY
+
+        reg = Registry("thing")
+        reg.add("n", lambda rest: int(rest), cls=int, spell=lambda v: f"n:{v}")
+        for i in range(_MEMO_CAPACITY + 10):
+            assert reg.canonical(f"n:{i:05d}") == f"n:{i}"
+        assert len(reg._memo) == _MEMO_CAPACITY
+        # the oldest spelling was forgotten, and still answers
+        assert reg.canonical("n:00000") == "n:0"

@@ -203,6 +203,58 @@ class TestFleet:
             assert task_id == 2 and ok
             assert fleet.alive() == [True]
 
+    def test_outstanding_counts_survive_concurrent_updates(self):
+        """submit() (the loop) and next_result() (the result reader
+        thread) update the per-worker counts concurrently; no update
+        may be lost, even when a result is read before submit()
+        returns.  Queues stand in for the worker processes."""
+        import queue
+        import sys
+        import threading
+
+        fleet = WorkerFleet(workers=2)
+        fleet._tasks = [queue.Queue(), queue.Queue()]
+        fleet._results = queue.Queue()
+        fleet._started = True
+        submitters, per_submitter = 4, 500
+        total = submitters * per_submitter
+        read: list = []
+
+        def submit(base):
+            for i in range(per_submitter):
+                fleet.submit(i % 2, base + i, "{}")
+
+        def work(worker):
+            for _ in range(total // 2):
+                task_id, _payload = fleet._tasks[worker].get(timeout=10)
+                fleet._results.put((task_id, worker, True, None))
+
+        def drain():
+            while len(read) < total:
+                item = fleet.next_result(timeout=10)
+                if item is None:
+                    return
+                read.append(item)
+
+        threads = [
+            threading.Thread(target=submit, args=(k * per_submitter,))
+            for k in range(submitters)
+        ]
+        threads += [threading.Thread(target=work, args=(w,)) for w in (0, 1)]
+        threads.append(threading.Thread(target=drain))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(read) == total
+        assert fleet.outstanding == [0, 0]
+
     def test_validates_shape(self):
         with pytest.raises(ValueError):
             WorkerFleet(workers=0)
@@ -426,6 +478,63 @@ class TestService:
             ScenarioService(fleet, policy, max_batch=0)
         with pytest.raises(ValueError):
             ScenarioService(fleet, policy, high_water=0)
+
+    def test_high_water_is_the_one_admission_bound(self):
+        fleet = WorkerFleet(workers=2, queue_depth=3)
+        policy = make_policy("central", 2)
+        assert ScenarioService(fleet, policy).high_water == 6
+        assert ScenarioService(fleet, policy, high_water=5).high_water == 5
+        with pytest.raises(ValueError, match="capacity"):
+            ScenarioService(fleet, policy, high_water=7)
+        server = build_server(no_cache=True)
+        assert server.service.high_water == 2 * 64
+
+    def test_refusal_at_the_defaults_is_high_water(self):
+        """At the default knobs a flood past the fleet's capacity is
+        turned away by admission (the 429 with "high water"), never by
+        a full worker queue."""
+        service = build_server(no_cache=True).service
+        flood = service.high_water + 12
+        specs = [f"fib:2 @ grid:2x2 / cwn?seed={i}" for i in range(flood)]
+
+        async def go():
+            await service.start()
+            try:
+                return await asyncio.gather(
+                    *(service.submit(s) for s in specs), return_exceptions=True
+                )
+            finally:
+                await service.stop()
+
+        answers = asyncio.run(go())
+        refused = [a for a in answers if isinstance(a, Exception)]
+        assert len(refused) == 12
+        assert all(isinstance(e, Busy) and "high water" in str(e) for e in refused)
+        assert sum(a.source == "computed" for a in answers if not isinstance(a, Exception)) == flood - 12
+        assert service.stats.errors == 0
+
+    def test_result_pump_thread_ends(self, tmp_path):
+        """A front that dies with a computation in flight neither hangs
+        asyncio.run on the result pump nor leaves the pump running once
+        the service is stopped."""
+        import threading
+        import time
+
+        service = _service(tmp_path)
+
+        async def go():
+            await service.start()
+            asyncio.ensure_future(service.submit("fib:18 @ grid:8x8 / cwn"))
+            await asyncio.sleep(0.05)  # admitted and dispatched
+            raise RuntimeError("front died")
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="front died"):
+            asyncio.run(go())
+        assert time.perf_counter() - start < 5.0
+        asyncio.run(service.stop(drain_timeout=0))
+        pumps = [t for t in threading.enumerate() if t.name == "repro-serve-results"]
+        assert not pumps
 
 
 # -- the HTTP front --------------------------------------------------------------
